@@ -23,14 +23,16 @@
 //! The `ca-dla` hot-path kernels draw scratch buffers from a
 //! thread-local [`ca_dla::Workspace`] arena (`ca_dla::workspace::with_ws`).
 //! Because this executor runs each rank body to completion on a single
-//! worker thread, each checkout stays on one thread for the duration
-//! of a body: buffers checked out inside a rank body are returned
-//! before the body yields, arenas never migrate across threads, and no
-//! synchronization is needed. (Checkout is a re-entrant LIFO stack of
-//! arenas since the batch service arrived — nested `with_ws` scopes on
-//! one thread each get their own arena, warm-reused in steady state.)
-//! A warm arena makes steady-state bulge chasing allocation-free
-//! regardless of which worker a rank lands on.
+//! thread (the caller or a `rayon` pool worker), each checkout stays on
+//! one thread for the duration of a body: buffers checked out inside a
+//! rank body are returned before the body yields, arenas never migrate
+//! across threads, and no synchronization is needed. (Checkout is a
+//! re-entrant LIFO stack of arenas — nested `with_ws` scopes on one
+//! thread each get their own arena, warm-reused in steady state.) The
+//! pool's workers live for the whole process, so their arenas persist
+//! across calls and solves: once every worker has seen a problem shape,
+//! steady-state bulge chasing is allocation-free whichever worker a
+//! rank lands on.
 //!
 //! Set `CA_SERIAL` truthy (`1`/`true`/`yes`/`on`, per
 //! [`ca_obs::knobs`]) to force serial in-order execution — the escape

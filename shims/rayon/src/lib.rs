@@ -2,11 +2,17 @@
 //!
 //! The build environment has no access to crates.io, so this local shim
 //! implements the subset of rayon's data-parallel API the workspace
-//! uses, with real shared-memory parallelism built on
-//! [`std::thread::scope`]. Work is split into one contiguous block per
-//! worker (fork-join, no work stealing); with a single hardware thread
-//! every operation degenerates to an inline sequential loop with zero
-//! spawn overhead.
+//! uses, with real shared-memory parallelism on one process-wide pool
+//! of `current_num_threads()` worker threads, started on first use.
+//! Work is split into one contiguous block per worker (fork-join, no
+//! work stealing): the calling thread runs the first block itself and
+//! blocks until the pool has run the rest. A call made from inside a
+//! pool worker runs all its blocks inline, in block order, so a worker
+//! never waits on the pool and nested `join`s cannot deadlock. A block
+//! that panics is caught and its panic resumed on the calling thread
+//! once every block of the call has finished; the worker keeps serving.
+//! With a single worker thread every operation degenerates to an inline
+//! sequential loop and the pool is never started.
 //!
 //! Supported surface:
 //! * `(a..b).into_par_iter()` with `for_each`, `map(..).collect::<Vec<_>>()`
@@ -17,7 +23,11 @@
 //! The worker count honors `RAYON_NUM_THREADS`, defaulting to the
 //! available hardware parallelism.
 
-use std::sync::OnceLock;
+use std::any::Any;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Number of worker threads used for parallel operations.
 pub fn current_num_threads() -> usize {
@@ -43,6 +53,150 @@ fn block_bounds(n: usize) -> Vec<usize> {
     (0..=t).map(|w| w * n / t).collect()
 }
 
+/// One block of a fork-join call.
+type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
+
+/// A panic payload carried from a worker back to the caller.
+type Panic = Box<dyn Any + Send>;
+
+thread_local! {
+    /// True on the pool's worker threads.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The process-wide worker pool: a FIFO of blocks and the workers that
+/// drain it. Workers live for the rest of the process.
+struct Pool {
+    queue: Mutex<VecDeque<Task<'static>>>,
+    ready: Condvar,
+}
+
+static POOL: OnceLock<&'static Pool> = OnceLock::new();
+
+fn pool() -> &'static Pool {
+    POOL.get_or_init(|| {
+        let pool: &'static Pool = Box::leak(Box::new(Pool {
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+        }));
+        for i in 0..current_num_threads() {
+            std::thread::Builder::new()
+                .name(format!("rayon-shim-{i}"))
+                .spawn(move || pool.serve())
+                .expect("rayon shim: failed to spawn a pool worker");
+        }
+        pool
+    })
+}
+
+impl Pool {
+    /// Worker loop: run queued blocks forever. Blocks never unwind into
+    /// here (`run_scoped` wraps each in `catch_unwind`).
+    fn serve(&self) {
+        IN_WORKER.with(|w| w.set(true));
+        loop {
+            let task = {
+                let mut queue = self.queue.lock().expect("rayon shim: pool queue poisoned");
+                loop {
+                    match queue.pop_front() {
+                        Some(task) => break task,
+                        None => {
+                            queue = self.ready.wait(queue).expect("rayon shim: pool queue poisoned")
+                        }
+                    }
+                }
+            };
+            task();
+        }
+    }
+}
+
+/// Completion state of one `run_scoped` call, shared with its blocks.
+struct Scope {
+    /// Blocks handed to the pool and not yet finished.
+    pending: Mutex<usize>,
+    done: Condvar,
+    /// The first panic raised by a pool-run block.
+    panic: Mutex<Option<Panic>>,
+}
+
+impl Scope {
+    fn finish(&self, panic: Option<Panic>) {
+        if let Some(p) = panic {
+            self.panic.lock().expect("rayon shim: scope poisoned").get_or_insert(p);
+        }
+        let mut pending = self.pending.lock().expect("rayon shim: scope poisoned");
+        *pending -= 1;
+        if *pending == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    fn wait(&self) {
+        let mut pending = self.pending.lock().expect("rayon shim: scope poisoned");
+        while *pending > 0 {
+            pending = self.done.wait(pending).expect("rayon shim: scope poisoned");
+        }
+    }
+}
+
+/// Waits for every block handed to the pool when dropped, so the
+/// caller's frame outlives its blocks even while it unwinds.
+struct WaitAll<'s>(&'s Scope);
+
+impl Drop for WaitAll<'_> {
+    fn drop(&mut self) {
+        self.0.wait();
+    }
+}
+
+/// Run every task to completion: the first on the calling thread, the
+/// rest on the pool. Inside a pool worker (or with one task) all run
+/// inline, in order. A panic from any task is resumed here after every
+/// task has finished.
+fn run_scoped(mut tasks: Vec<Task<'_>>) {
+    if tasks.len() <= 1 || IN_WORKER.with(Cell::get) {
+        for task in tasks {
+            task();
+        }
+        return;
+    }
+    let first = tasks.remove(0);
+    let scope = Arc::new(Scope {
+        pending: Mutex::new(0),
+        done: Condvar::new(),
+        panic: Mutex::new(None),
+    });
+    let pool = pool();
+    let first_panic = {
+        let _wait = WaitAll(&scope);
+        {
+            let mut queue = pool.queue.lock().expect("rayon shim: pool queue poisoned");
+            for task in tasks {
+                // SAFETY: `task` may borrow from the caller's frame. The
+                // erased box only runs inside the wrapper below, which
+                // catches its panics and then calls `finish`; `pending`
+                // counts it before it is queued, and `_wait` blocks this
+                // frame — on return and while unwinding alike — until
+                // every counted wrapper has finished. So no borrow is
+                // used after this call returns.
+                let task: Task<'static> = unsafe { std::mem::transmute(task) };
+                let scope = Arc::clone(&scope);
+                *scope.pending.lock().expect("rayon shim: scope poisoned") += 1;
+                queue.push_back(Box::new(move || {
+                    scope.finish(catch_unwind(AssertUnwindSafe(task)).err())
+                }));
+            }
+        }
+        pool.ready.notify_all();
+        catch_unwind(AssertUnwindSafe(first)).err()
+    };
+    let panic = first_panic.or_else(|| scope.panic.lock().expect("rayon shim: scope poisoned").take());
+    if let Some(p) = panic {
+        resume_unwind(p);
+    }
+}
+
 /// Run `a` and `b` potentially in parallel, returning both results.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
@@ -56,11 +210,12 @@ where
         let rb = b();
         return (ra, rb);
     }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon shim: worker panicked"))
-    })
+    let (mut ra, mut rb) = (None, None);
+    run_scoped(vec![Box::new(|| ra = Some(a())), Box::new(|| rb = Some(b()))]);
+    (
+        ra.expect("rayon shim: join block did not run"),
+        rb.expect("rayon shim: join block did not run"),
+    )
 }
 
 /// Run `f(lo, hi)` over a contiguous partition of `0..n`, one block per
@@ -75,14 +230,15 @@ fn run_partitioned<F: Fn(usize, usize) + Sync>(n: usize, f: F) {
         return;
     }
     let f = &f;
-    std::thread::scope(|s| {
-        for w in bounds.windows(2) {
+    let tasks = bounds
+        .windows(2)
+        .filter(|w| w[0] < w[1])
+        .map(|w| {
             let (lo, hi) = (w[0], w[1]);
-            if lo < hi {
-                s.spawn(move || f(lo, hi));
-            }
-        }
-    });
+            Box::new(move || f(lo, hi)) as Task<'_>
+        })
+        .collect();
+    run_scoped(tasks);
 }
 
 /// `map(..).collect::<Vec<_>>()` engine: evaluate `f(i)` for `i ∈ 0..n`
@@ -102,23 +258,17 @@ fn map_collect<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
         }
         debug_assert_eq!(at, n);
         let f = &f;
-        if pieces.len() <= 1 {
-            for (off, piece) in pieces {
-                for (k, slot) in piece.iter_mut().enumerate() {
-                    *slot = Some(f(off + k));
-                }
-            }
-        } else {
-            std::thread::scope(|s| {
-                for (off, piece) in pieces {
-                    s.spawn(move || {
-                        for (k, slot) in piece.iter_mut().enumerate() {
-                            *slot = Some(f(off + k));
-                        }
-                    });
-                }
-            });
-        }
+        let tasks = pieces
+            .into_iter()
+            .map(|(off, piece)| {
+                Box::new(move || {
+                    for (k, slot) in piece.iter_mut().enumerate() {
+                        *slot = Some(f(off + k));
+                    }
+                }) as Task<'_>
+            })
+            .collect();
+        run_scoped(tasks);
     }
     out.into_iter()
         .map(|v| v.expect("rayon shim: missing mapped value"))
@@ -280,11 +430,11 @@ where
         rest = tail;
     }
     let f = &f;
-    std::thread::scope(|s| {
-        for (off, piece) in pieces {
-            s.spawn(move || f(off, piece));
-        }
-    });
+    let tasks = pieces
+        .into_iter()
+        .map(|(off, piece)| Box::new(move || f(off, piece)) as Task<'_>)
+        .collect();
+    run_scoped(tasks);
 }
 
 /// Parallel exclusive iterator over slice elements.
@@ -377,15 +527,17 @@ impl<'a, T: Send> EnumParChunksMut<'a, T> {
             rest = tail;
         }
         let f = &f;
-        std::thread::scope(|s| {
-            for (chunk0, piece) in pieces {
-                s.spawn(move || {
+        let tasks = pieces
+            .into_iter()
+            .map(|(chunk0, piece)| {
+                Box::new(move || {
                     for (i, chunk) in piece.chunks_mut(size).enumerate() {
                         f((chunk0 + i, chunk));
                     }
-                });
-            }
-        });
+                }) as Task<'_>
+            })
+            .collect();
+        run_scoped(tasks);
     }
 }
 
@@ -467,7 +619,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn range_map_collect_preserves_order() {
@@ -516,5 +668,109 @@ mod tests {
         assert!(v.is_empty());
         let mut e: Vec<u8> = Vec::new();
         e.par_chunks_mut(4).for_each(|_| panic!("no chunks expected"));
+    }
+
+    #[test]
+    fn panic_resumes_after_sibling_blocks_finish_and_pool_keeps_serving() {
+        let t = super::current_num_threads();
+        let about_to_panic = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(|| {
+            (0..t).into_par_iter().for_each(|i| {
+                if i == 0 {
+                    about_to_panic.store(true, Ordering::SeqCst);
+                    panic!("block 0 fails");
+                }
+                // Siblings finish only after the caller's block panicked.
+                while !about_to_panic.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        });
+        let payload = caught.expect_err("the block's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"block 0 fails"));
+        assert_eq!(finished.load(Ordering::SeqCst), t - 1, "siblings must finish first");
+
+        // A pool-run block panicking, then a normal call on the same pool.
+        let caught = std::panic::catch_unwind(|| {
+            (0..t).into_par_iter().for_each(|i| {
+                if t > 1 && i == t - 1 {
+                    panic!("last block fails");
+                }
+            })
+        });
+        assert_eq!(caught.is_err(), t > 1);
+        let v: Vec<usize> = (0..4096).into_par_iter().map(|i| i + 1).collect();
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
+    }
+
+    #[test]
+    fn nested_join_inside_par_iter_mut_inside_join_completes() {
+        let (sum, tag) = super::join(
+            || {
+                let mut v = vec![0usize; 257];
+                v.par_iter_mut().enumerate().for_each(|(i, x)| {
+                    let (a, b) = super::join(|| 2 * i, || super::join(|| i, || 1).1);
+                    *x = a + b;
+                });
+                v.iter().sum::<usize>()
+            },
+            || super::join(|| "x", || "y").0,
+        );
+        assert_eq!(sum, 2 * (256 * 257 / 2) + 257);
+        assert_eq!(tag, "x");
+    }
+
+    #[test]
+    fn concurrent_callers_get_index_ordered_results() {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for k in 0..2usize {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..50 {
+                        let v: Vec<usize> =
+                            (0..1000).into_par_iter().map(|i| i * 3 + k + round).collect();
+                        assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3 + k + round));
+                    }
+                });
+            }
+        });
+    }
+
+    /// Subprocess payload for `single_thread_runs_inline`.
+    #[test]
+    #[ignore = "subprocess payload run with RAYON_NUM_THREADS=1"]
+    fn inline_payload() {
+        assert_eq!(super::current_num_threads(), 1);
+        let me = std::thread::current().id();
+        let on_caller = AtomicUsize::new(0);
+        (0..64).into_par_iter().for_each(|_| {
+            if std::thread::current().id() == me {
+                on_caller.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let (a, b) = super::join(|| std::thread::current().id(), || std::thread::current().id());
+        assert_eq!(on_caller.load(Ordering::SeqCst), 64);
+        assert_eq!((a, b), (me, me));
+        assert!(super::POOL.get().is_none(), "one thread must never start the pool");
+        println!("INLINE_OK");
+    }
+
+    #[test]
+    fn single_thread_runs_inline() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["--ignored", "--exact", "tests::inline_payload", "--nocapture"])
+            .env("RAYON_NUM_THREADS", "1")
+            .output()
+            .expect("spawn test subprocess");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("INLINE_OK"),
+            "inline payload failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }
