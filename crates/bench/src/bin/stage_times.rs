@@ -1,51 +1,16 @@
-//! Stage-time acceptance benchmark: per-stage wall-clock and model
-//! flop-rate of the end-to-end solver, *before* vs *after* one of the
-//! repo's engine toggles.
-//!
-//! Three engine comparisons are available, each from one build with the
-//! "before" arithmetic kept alive behind a runtime toggle:
-//!
-//! * `--engine zero-copy` (PR-6, default output `BENCH_PR6.json`):
-//!   seed copy-based chase kernels vs zero-copy workspace kernels
-//!   (`set_zero_copy_enabled` — see DESIGN.md, "The kernel engine");
-//! * `--engine dnc` (PR-7, default output `BENCH_PR7.json`): the
-//!   legacy sequential finale (halve-to-8 chase + implicit QL) vs the
-//!   fused rank-1 sweep + divide-and-conquer finale
-//!   (`ca_dla::tune::set_dnc_enabled`), zero-copy on in both legs. The
-//!   run also reports the tuning knobs in effect
-//!   ([`ca_dla::tune::halve_floor`], [`ca_dla::tune::dnc_leaf`]);
-//! * `--engine lookahead` (PR-10, default output `BENCH_PR10.json`):
-//!   the barrier reduction drivers vs the task-graph (DAG) drivers and
-//!   their engine kernels (`ca_obs::knobs::set_lookahead_enabled` —
-//!   DESIGN.md §6g), zero-copy and D&C on in both legs. Both legs are
-//!   bit-identical in output and ledger (`tests/dag_equivalence.rs`);
-//!   only wall-clock may differ.
-//!
-//! The legacy engines run with the lookahead knob pinned **off** (the
-//! state their committed references were recorded under) so their
-//! before/after ratios keep measuring only their own toggle;
-//! `--lookahead on` re-pins it for an ad-hoc combined run.
+//! Stage-time benchmark: per-stage wall-clock and model flop rate of
+//! the end-to-end solver (median of five solves per size).
 //!
 //! Stage wall-clock comes from [`StageCosts::wall_secs`]; model flops
-//! from the metered ledger.
+//! from the metered ledger. The repo's end-to-end benchmark with
+//! interleaved repetitions and spreads is `perfbench/`; this binary is
+//! the quick per-stage view and the trace cross-check.
 //!
 //! Flags:
 //!
-//! * `--engine <zero-copy|dnc|lookahead>` — which toggle to compare
-//!   (default `zero-copy`);
-//! * `--lookahead <on|off>` — pin the `CA_LOOKAHEAD` knob during the
-//!   legacy engines' legs (default `off`; ignored under
-//!   `--engine lookahead`, where the knob is the compared variable);
 //! * `--quick` — n ∈ {256} only (CI-sized; the full grid adds 512);
-//! * `--out <path>` — output path (default per engine, above);
-//! * `--check <ref.json>` — compare per-stage and end-to-end speedups
-//!   against a committed reference and exit nonzero if any entry
-//!   regressed by more than 25% — in particular the
-//!   `sequential eigensolve` stage gets its own gate this way.
-//!   Speedups (ratios of two timings on the same host) are compared
-//!   rather than absolute times, so the check is meaningful across
-//!   machines of different speeds;
-//! * `--trace <path>` — after the benchmark legs, run one solve with
+//! * `--out <path>` — output path (default `STAGE_TIMES.json`);
+//! * `--trace <path>` — after the timed solves, run one solve with
 //!   stage tracing on (`ca_obs` level 1 + allocation metering) and
 //!   write a chrome-trace JSON to `path` (load in `chrome://tracing` or
 //!   Perfetto). The run cross-checks every stage span's wall time
@@ -54,7 +19,6 @@
 //!   summary table and counter totals.
 
 use ca_bsp::{Machine, MachineParams};
-use ca_dla::bulge::set_zero_copy_enabled;
 use ca_dla::gen;
 use ca_dla::tune;
 use ca_eigen::params::EigenParams;
@@ -66,7 +30,7 @@ use std::time::Instant;
 
 /// Counting allocator so traced runs report `alloc.count`/`alloc.bytes`
 /// alongside the subsystem counters. Metering is off except inside the
-/// `--trace` solve, so the benchmark legs see stock `System` behaviour.
+/// `--trace` solve, so the timed solves see stock `System` behaviour.
 #[global_allocator]
 static ALLOC: ca_obs::alloc::CountingAllocator = ca_obs::alloc::CountingAllocator;
 
@@ -74,54 +38,9 @@ static ALLOC: ca_obs::alloc::CountingAllocator = ca_obs::alloc::CountingAllocato
 /// [`StageCosts::aggregate`] prefix semantics).
 const STAGES: [&str; 4] = ["full-to-band", "band-to-band", "ca-sbr", "sequential eigensolve"];
 
-/// Fractional speedup loss tolerated by `--check` before failing.
-const REGRESSION_SLACK: f64 = 0.25;
-
-/// Which engine toggle a benchmark leg selects.
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    /// Copy-based reference chase kernels vs zero-copy workspace kernels.
-    ZeroCopy,
-    /// QL finale vs fused-sweep + divide-and-conquer finale.
-    Dnc,
-    /// Barrier reduction drivers vs task-graph drivers + engine kernels.
-    Lookahead,
-}
-
-/// `--lookahead on|off` pin applied to the *legacy* engines (for
-/// `--engine lookahead` the knob is the compared variable). Defaults to
-/// off — the state BENCH_PR6/BENCH_PR7 were recorded under.
-static LOOKAHEAD_PIN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Configure the process-wide toggles for one leg. Each comparison
-/// holds the other engines fixed so it measures only its own toggle:
-/// D&C keeps zero-copy on, lookahead keeps zero-copy and D&C on.
-fn select_engine(engine: Engine, after: bool) {
-    use std::sync::atomic::Ordering::Relaxed;
-    match engine {
-        Engine::ZeroCopy => {
-            set_zero_copy_enabled(after);
-            tune::set_dnc_enabled(false);
-            ca_obs::knobs::set_lookahead_enabled(LOOKAHEAD_PIN.load(Relaxed));
-        }
-        Engine::Dnc => {
-            set_zero_copy_enabled(true);
-            tune::set_dnc_enabled(after);
-            ca_obs::knobs::set_lookahead_enabled(LOOKAHEAD_PIN.load(Relaxed));
-        }
-        Engine::Lookahead => {
-            set_zero_copy_enabled(true);
-            tune::set_dnc_enabled(true);
-            ca_obs::knobs::set_lookahead_enabled(after);
-        }
-    }
-}
-
-/// Run the solver `reps` times with the given engine selection and
-/// return the median run (by end-to-end wall time) with its stage
-/// breakdown.
-fn run_case(n: usize, p: usize, reps: usize, engine: Engine, after: bool) -> (f64, StageCosts) {
-    select_engine(engine, after);
+/// Run the solver `reps` times and return the median run (by
+/// end-to-end wall time) with its stage breakdown.
+fn run_case(n: usize, p: usize, reps: usize) -> (f64, StageCosts) {
     let mut rng = StdRng::seed_from_u64(4096 + n as u64);
     let spectrum = gen::linspace_spectrum(n, -1.0, 1.0);
     let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
@@ -147,52 +66,10 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
-/// Extract the number following `"key": ` on `line` (the emitted JSON
-/// keeps each record on one line precisely so this scan suffices — the
-/// vendored `serde_json` shim serializes but does not parse).
-fn num_after(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract the quoted string following `"key": "` on `line`.
-fn str_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    rest.split('"').next()
-}
-
-/// Parse a stage-times JSON into `((n, stage-or-end-to-end) → speedup)`.
-/// "end-to-end" is keyed by an empty stage name.
-fn parse_speedups(text: &str) -> Vec<(usize, String, f64)> {
-    let mut out = Vec::new();
-    let mut current_n = 0usize;
-    for line in text.lines() {
-        if let Some(stage) = str_after(line, "stage") {
-            if let Some(s) = num_after(line, "speedup") {
-                out.push((current_n, stage.to_string(), s));
-            }
-        } else if let Some(n) = num_after(line, "n") {
-            current_n = n as usize;
-            if let Some(s) = num_after(line, "speedup") {
-                out.push((current_n, String::new(), s));
-            }
-        }
-    }
-    out
-}
-
 /// One traced solve (`--trace`): stage spans, subsystem counters and
 /// allocation metering on, chrome-trace JSON out, plus the
 /// span-vs-`StageCosts` wall-agreement check (1%).
-fn run_traced(trace_path: &str, n: usize, p: usize, engine: Engine) {
-    select_engine(engine, true);
+fn run_traced(trace_path: &str, n: usize, p: usize) {
     let mut rng = StdRng::seed_from_u64(4096 + n as u64);
     let spectrum = gen::linspace_spectrum(n, -1.0, 1.0);
     let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
@@ -272,102 +149,36 @@ fn run_traced(trace_path: &str, n: usize, p: usize, engine: Engine) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let engine = match flag_value(&args, "--engine") {
-        None | Some("zero-copy") => Engine::ZeroCopy,
-        Some("dnc") => Engine::Dnc,
-        Some("lookahead") => Engine::Lookahead,
-        Some(other) => panic!("unknown --engine {other:?} (expected zero-copy, dnc or lookahead)"),
-    };
-    match flag_value(&args, "--lookahead") {
-        None | Some("off") => {}
-        Some("on") => LOOKAHEAD_PIN.store(true, std::sync::atomic::Ordering::Relaxed),
-        Some(other) => panic!("unknown --lookahead {other:?} (expected on or off)"),
-    }
-    let default_out = match engine {
-        Engine::ZeroCopy => "BENCH_PR6.json",
-        Engine::Dnc => "BENCH_PR7.json",
-        Engine::Lookahead => "BENCH_PR10.json",
-    };
-    let out_path = flag_value(&args, "--out").unwrap_or(default_out);
-    let check = flag_value(&args, "--check");
+    let out_path = flag_value(&args, "--out").unwrap_or("STAGE_TIMES.json");
     let trace = flag_value(&args, "--trace");
     let sizes: &[usize] = if quick { &[256] } else { &[256, 512] };
     let (p, reps) = (4usize, 5usize);
-    if engine == Engine::Dnc {
-        println!(
-            "engine dnc: halve_floor = {}, dnc_leaf = {} (CA_HALVE_FLOOR / CA_DNC_LEAF to override)",
-            tune::halve_floor(),
-            tune::dnc_leaf()
-        );
-    }
 
-    // Load the reference *before* running (and possibly overwriting it,
-    // when `--check` and `--out` name the same file).
-    let reference: Option<Vec<(usize, String, f64)>> = check.map(|ref_path| {
-        let text = std::fs::read_to_string(ref_path)
-            .unwrap_or_else(|e| panic!("read reference {ref_path}: {e}"));
-        let parsed = parse_speedups(&text);
-        assert!(!parsed.is_empty(), "no speedup entries in {ref_path}");
-        parsed
-    });
-
-    let mut out = match engine {
-        Engine::ZeroCopy => String::from("{\n  \"cases\": [\n"),
-        Engine::Dnc => format!(
-            "{{\n  \"engine\": \"dnc\",\n  \"tuning\": {{\"halve_floor\": {}, \"dnc_leaf\": {}}},\n  \"cases\": [\n",
-            tune::halve_floor(),
-            tune::dnc_leaf()
-        ),
-        Engine::Lookahead => String::from("{\n  \"engine\": \"lookahead\",\n  \"cases\": [\n"),
-    };
-    let mut measured: Vec<(usize, String, f64)> = Vec::new();
+    let mut out = format!(
+        "{{\n  \"tuning\": {{\"halve_floor\": {}, \"dnc_leaf\": {}}},\n  \"cases\": [\n",
+        tune::halve_floor(),
+        tune::dnc_leaf()
+    );
     for (ci, &n) in sizes.iter().enumerate() {
-        let (t_before, st_before) = run_case(n, p, reps, engine, false);
-        let (t_after, st_after) = run_case(n, p, reps, engine, true);
-        let speedup = t_before / t_after;
-        let legs = match engine {
-            Engine::ZeroCopy => ("reference", "zero-copy"),
-            Engine::Dnc => ("QL finale", "D&C finale"),
-            Engine::Lookahead => ("barrier", "lookahead DAG"),
-        };
-        println!(
-            "solver n={n} p={p}: {} {:.1} ms -> {} {:.1} ms, {speedup:.2}x",
-            legs.0,
-            t_before * 1e3,
-            legs.1,
-            t_after * 1e3
-        );
-        measured.push((n, String::new(), speedup));
+        let (t, stages) = run_case(n, p, reps);
+        println!("solver n={n} p={p}: {:.1} ms", t * 1e3);
         out.push_str(&format!(
-            "    {{\"n\": {n}, \"p\": {p}, \"c\": 1, \"before_ms\": {:.3}, \
-             \"after_ms\": {:.3}, \"speedup\": {:.3},\n     \"stages\": [\n",
-            t_before * 1e3,
-            t_after * 1e3,
-            speedup
+            "    {{\"n\": {n}, \"p\": {p}, \"c\": 1, \"ms\": {:.3},\n     \"stages\": [\n",
+            t * 1e3
         ));
-        let present: Vec<&str> = STAGES
-            .iter()
-            .copied()
-            .filter(|s| st_after.count(s) > 0)
-            .collect();
+        let present: Vec<&str> = STAGES.iter().copied().filter(|s| stages.count(s) > 0).collect();
         for (si, stage) in present.iter().enumerate() {
-            let wb = st_before.wall_seconds(stage);
-            let wa = st_after.wall_seconds(stage);
-            let s = wb / wa.max(1e-12);
-            let gflop = st_after.aggregate(stage).total_flops as f64 / 1e9;
-            let rate = gflop / wa.max(1e-12);
+            let wall = stages.wall_seconds(stage);
+            let gflop = stages.aggregate(stage).total_flops as f64 / 1e9;
+            let rate = gflop / wall.max(1e-12);
             println!(
-                "  {stage:<22} {:>9.1} ms -> {:>8.1} ms  {s:>5.2}x  ({gflop:.3} model Gflop, {rate:.2} GF/s)",
-                wb * 1e3,
-                wa * 1e3
+                "  {stage:<22} {:>9.1} ms  ({gflop:.3} model Gflop, {rate:.2} GF/s)",
+                wall * 1e3
             );
-            measured.push((n, stage.to_string(), s));
             out.push_str(&format!(
-                "      {{\"stage\": \"{stage}\", \"before_ms\": {:.3}, \"after_ms\": {:.3}, \
-                 \"speedup\": {:.3}, \"model_gflop\": {:.3}, \"after_gflops\": {:.3}}}{}\n",
-                wb * 1e3,
-                wa * 1e3,
-                s,
+                "      {{\"stage\": \"{stage}\", \"ms\": {:.3}, \"model_gflop\": {:.3}, \
+                 \"gflops\": {:.3}}}{}\n",
+                wall * 1e3,
                 gflop,
                 rate,
                 if si + 1 == present.len() { "" } else { "," }
@@ -382,34 +193,7 @@ fn main() {
     std::fs::write(out_path, &out).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     println!("wrote {out_path}");
 
-    if let Some(reference) = reference {
-        let mut failed = false;
-        for (n, stage, got) in &measured {
-            let Some((_, _, want)) = reference
-                .iter()
-                .find(|(rn, rs, _)| rn == n && rs == stage)
-            else {
-                continue; // reference lacks this grid point (e.g. --quick ref)
-            };
-            let label = if stage.is_empty() { "end-to-end" } else { stage };
-            let floor = want * (1.0 - REGRESSION_SLACK);
-            if *got < floor {
-                eprintln!(
-                    "REGRESSION n={n} {label}: speedup {got:.2}x < {floor:.2}x \
-                     (reference {want:.2}x - {:.0}% slack)",
-                    REGRESSION_SLACK * 100.0
-                );
-                failed = true;
-            } else {
-                println!("check n={n} {label}: {got:.2}x vs reference {want:.2}x ok");
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
-
     if let Some(trace_path) = trace {
-        run_traced(trace_path, sizes[0], p, engine);
+        run_traced(trace_path, sizes[0], p);
     }
 }

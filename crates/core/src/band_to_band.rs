@@ -112,27 +112,9 @@ pub fn band_to_band_to_logged(
     band_to_band_impl(machine, grid, bmat, h, v_mem, Some(rec))
 }
 
+/// Phase-by-phase execution of the chase plan, one `fence` per
+/// pipeline phase.
 fn band_to_band_impl(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    h: usize,
-    v_mem: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, BandToBandTrace) {
-    let _span = ca_obs::kernel_span("driver.band_to_band");
-    if ca_obs::knobs::lookahead() {
-        band_to_band_dag(machine, grid, bmat, h, v_mem, rec)
-    } else {
-        band_to_band_barrier(machine, grid, bmat, h, v_mem, rec)
-    }
-}
-
-/// Superstep-barrier driver: phase-by-phase execution with one `fence`
-/// per pipeline phase. This is the reference path the task-graph driver
-/// ([`band_to_band_dag`]) must match bit-for-bit in output, reflector
-/// record and ledger.
-fn band_to_band_barrier(
     machine: &Machine,
     grid: &Grid,
     bmat: &BandedSym,
@@ -140,6 +122,7 @@ fn band_to_band_barrier(
     v_mem: usize,
     mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
 ) -> (BandedSym, BandToBandTrace) {
+    let _span = ca_obs::kernel_span("driver.band_to_band");
     let n = bmat.n();
     let b = bmat.bandwidth();
     assert!(h >= 1 && h <= b, "need 1 ≤ h ≤ band-width");
@@ -279,176 +262,19 @@ fn band_to_band_barrier(
     (work, trace)
 }
 
-/// Task-graph driver: the same chase plan as [`band_to_band_barrier`],
-/// but each chase is a [`TaskGraph`] node depending only on the earlier
-/// chases whose windows overlap its own — the diagonal-wavefront
-/// pipeline of Figure 2. A chase of phase `φ+1` whose window is clear
-/// of a straggling phase-`φ` window becomes ready without waiting for
-/// the phase barrier. Charges are captured per task and replayed in the
-/// barrier path's program order (residency prologue, then chases, with
-/// the fence markers between phases), so values, reflector record and
-/// ledger are bitwise the barrier path's.
-fn band_to_band_dag(
+/// Charge the fresh words entering a group's window for one chase
+/// (line 2 of Alg IV.2): the window slides by `h` between a group's
+/// consecutive chases, so only the freshly entered columns plus the
+/// boundary region updated by the adjacent group move — `O(h·b/p̂)`
+/// words per processor per chase, matching Lemma IV.3's per-iteration
+/// traffic.
+fn charge_window_residency(
     machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    h: usize,
-    v_mem: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, BandToBandTrace) {
-    use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
-    use std::sync::Mutex;
-
-    let n = bmat.n();
-    let b = bmat.bandwidth();
-    assert!(h >= 1 && h <= b, "need 1 ≤ h ≤ band-width");
-    let p = grid.len();
-
-    let cap = (2 * b).min(n - 1);
-    let mut work0 = BandedSym::zeros(n, b, cap);
-    for j in 0..n {
-        for i in j..n.min(j + b + 1) {
-            work0.set(i, j, bmat.get(i, j));
-        }
-    }
-
-    let mut trace = BandToBandTrace::default();
-    if h == b {
-        work0.set_bandwidth(h);
-        return (work0, trace);
-    }
-    let capacity = work0.capacity();
-
-    let n_groups = n.div_ceil(b).clamp(1, p);
-    let p_hat = (p / n_groups).max(1);
-    let groups: Vec<Grid> = (0..n_groups)
-        .map(|g| Grid::new_1d(grid.procs()[g * p_hat..(g + 1) * p_hat].to_vec()))
-        .collect();
-
-    let mut plan = chase_plan_to(n, b, h);
-    plan.sort_by_key(|op| (op.phase(), op.i));
-    let mut phases: Vec<Vec<ChaseOp>> = Vec::new();
-    for op in plan {
-        match phases.last_mut() {
-            Some(cur) if cur[0].phase() == op.phase() => cur.push(op),
-            _ => phases.push(vec![op]),
-        }
-    }
-
-    // Shared state and per-chase reflector slots (collected out of
-    // completion order, appended to `rec` in plan order afterwards).
-    let work_slot = Mutex::new(work0);
-    let total_chases: usize = phases.iter().map(|ops| ops.len()).sum();
-    let factor_cells: Vec<TaskCell<(Matrix, Matrix)>> =
-        (0..total_chases).map(|_| TaskCell::new()).collect();
-
-    let work = &work_slot;
-    let groups_ref = &groups;
-    let cells = &factor_cells;
-
-    let mut graph = TaskGraph::new(machine);
-    // (window, task id) of every chase inserted so far — the overlap
-    // scan that yields the wavefront dependency structure.
-    let mut placed: Vec<(usize, usize, TaskId)> = Vec::new();
-    let mut last_window: Vec<Option<(usize, usize)>> = vec![None; n_groups];
-    let mut chase_idx = 0usize;
-
-    for (pi, ops) in phases.into_iter().enumerate() {
-        if pi > 0 {
-            graph.add_fence();
-        }
-        // Residency prologue: the per-group window-slide state is pure
-        // schedule data, so the words are computed here at build time
-        // and one task per phase charges them in op order.
-        let mut residency: Vec<(usize, u64)> = Vec::with_capacity(ops.len());
-        let mut assignments = Vec::with_capacity(ops.len());
-        for op in &ops {
-            let gidx = (op.j - 1) % n_groups;
-            let qr_procs = ((p * h) / n).clamp(1, groups[gidx].len());
-            trace.chases.push(ChaseRecord {
-                phase: op.phase(),
-                op: op.clone(),
-                group_index: gidx,
-                qr_procs,
-            });
-            residency.push((
-                gidx,
-                window_residency_words(op, capacity, &mut last_window[gidx]),
-            ));
-            assignments.push((gidx, qr_procs));
-        }
-        graph.add_task("b2b.residency", &[], move || {
-            for (gidx, win_words) in residency {
-                let group = &groups_ref[gidx];
-                for &pid in group.procs() {
-                    machine.charge_comm(pid, 2 * win_words.div_ceil(group.len() as u64));
-                }
-                machine.step(group.procs(), 1);
-            }
-        });
-
-        for (op, (gidx, qr_procs)) in ops.into_iter().zip(assignments) {
-            let (lo, hi) = op.window();
-            let deps: Vec<TaskId> = placed
-                .iter()
-                .filter(|&&(plo, phi, _)| plo < hi && lo < phi)
-                .map(|&(_, _, id)| id)
-                .collect();
-            let slot = chase_idx;
-            let id = graph.add_task("b2b.chase", &deps, move || {
-                let mut d = {
-                    let w = work.lock().unwrap_or_else(|e| e.into_inner());
-                    w.window(lo, hi)
-                };
-                let (u, t) = chase_compute(
-                    machine,
-                    &groups_ref[gidx],
-                    qr_procs,
-                    &mut d,
-                    &op,
-                    v_mem,
-                    capacity,
-                );
-                let mut w = work.lock().unwrap_or_else(|e| e.into_inner());
-                w.set_window(lo, &d);
-                drop(w);
-                cells[slot].set((u, t));
-            });
-            placed.push((lo, hi, id));
-            chase_idx += 1;
-        }
-    }
-    graph.add_fence();
-    graph.run();
-
-    if let Some(r) = rec {
-        for (cell, chase) in factor_cells.iter().zip(&trace.chases) {
-            let (u, t) = cell.take();
-            r.push(crate::transforms::Reflectors {
-                row0: chase.op.qr_rows.0,
-                u,
-                t,
-            });
-        }
-    }
-
-    let mut out = work_slot.into_inner().unwrap_or_else(|e| e.into_inner());
-    out.set_bandwidth(h);
-    (out, trace)
-}
-
-/// Fresh words entering a group's window for one chase (line 2 of Alg
-/// IV.2): the window slides by `h` between a group's consecutive
-/// chases, so only the freshly entered columns plus the boundary region
-/// updated by the adjacent group move — `O(h·b/p̂)` words per processor
-/// per chase, matching Lemma IV.3's per-iteration traffic. Pure in the
-/// schedule (stateful only through `last_window`), so the task-graph
-/// driver can evaluate it at build time.
-fn window_residency_words(
+    group: &Grid,
     op: &ChaseOp,
     capacity: usize,
     last_window: &mut Option<(usize, usize)>,
-) -> u64 {
+) {
     let (lo, hi) = op.window();
     let h = op.h();
     let height = (capacity + 1).min(hi - lo);
@@ -457,19 +283,7 @@ fn window_residency_words(
         _ => hi - lo, // first chase of this group, or a disjoint jump
     };
     *last_window = Some((lo, hi));
-    (fresh_cols * height) as u64
-}
-
-/// Window residency charging: [`window_residency_words`] applied to the
-/// live ledger — the barrier path's serial per-phase prologue.
-fn charge_window_residency(
-    machine: &Machine,
-    group: &Grid,
-    op: &ChaseOp,
-    capacity: usize,
-    last_window: &mut Option<(usize, usize)>,
-) {
-    let win_words = window_residency_words(op, capacity, last_window);
+    let win_words = (fresh_cols * height) as u64;
     for &pid in group.procs() {
         machine.charge_comm(pid, 2 * win_words.div_ceil(group.len() as u64));
     }

@@ -35,30 +35,14 @@ pub fn ca_sbr_logged(
     ca_sbr_impl(machine, grid, bmat, Some(rec))
 }
 
+/// Sequential sweep: chases execute in plan order on the shared band.
 fn ca_sbr_impl(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> BandedSym {
-    let _span = ca_obs::kernel_span("driver.ca_sbr");
-    if ca_obs::knobs::lookahead() {
-        ca_sbr_dag(machine, grid, bmat, rec)
-    } else {
-        ca_sbr_barrier(machine, grid, bmat, rec)
-    }
-}
-
-/// Sequential-sweep driver: chases execute in plan order on the shared
-/// band. This is the reference path the task-graph driver
-/// ([`ca_sbr_dag`]) must match bit-for-bit in output, reflector record
-/// and ledger.
-fn ca_sbr_barrier(
     machine: &Machine,
     grid: &Grid,
     bmat: &BandedSym,
     mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
 ) -> BandedSym {
+    let _span = ca_obs::kernel_span("driver.ca_sbr");
     let n = bmat.n();
     let b = bmat.bandwidth();
     assert!(b >= 2, "cannot halve a band-width below 2");
@@ -130,115 +114,6 @@ fn ca_sbr_barrier(
 
     work.set_bandwidth(b.div_ceil(2));
     work
-}
-
-/// Task-graph driver: one node per chase, depending only on the earlier
-/// chases whose windows overlap its own — the diagonal-wavefront
-/// dependency structure of the SBR pipeline, freed from sweep order.
-/// Charges are captured per task and replayed in plan order, so the
-/// F/W/Q/S ledger (including the aggregated `O(p)` superstep charge
-/// issued after the graph) is bitwise the sequential driver's, as are
-/// the band values and the reflector record.
-fn ca_sbr_dag(
-    machine: &Machine,
-    grid: &Grid,
-    bmat: &BandedSym,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> BandedSym {
-    use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
-    use std::sync::Mutex;
-
-    let n = bmat.n();
-    let b = bmat.bandwidth();
-    assert!(b >= 2, "cannot halve a band-width below 2");
-    let p = grid.len();
-    let cols_per_proc = n.div_ceil(p);
-
-    // Redistribution happens live, before the graph: its charges open
-    // the ledger phase the replayed chase charges complete.
-    for &pid in grid.procs() {
-        machine.charge_comm(pid, ((n * (b + 1)) as u64).div_ceil(p as u64) * 2);
-    }
-    machine.step(grid.procs(), 1);
-
-    let cap = (2 * b).min(n - 1);
-    let mut work0 = BandedSym::zeros(n, b, cap);
-    for j in 0..n {
-        for i in j..n.min(j + b + 1) {
-            work0.set(i, j, bmat.get(i, j));
-        }
-    }
-
-    let recording = rec.is_some();
-    let h_cache = machine.cache_words();
-    let plan = chase_plan(n, b, 2);
-    let work_slot = Mutex::new(work0);
-    let factor_cells: Vec<TaskCell<(ca_dla::Matrix, ca_dla::Matrix)>> = if recording {
-        (0..plan.len()).map(|_| TaskCell::new()).collect()
-    } else {
-        Vec::new()
-    };
-
-    let work = &work_slot;
-    let cells = &factor_cells;
-    let mut graph = TaskGraph::new(machine);
-    let mut placed: Vec<(usize, usize, TaskId)> = Vec::new();
-    let mut row0s: Vec<usize> = Vec::with_capacity(plan.len());
-
-    for (slot, op) in plan.into_iter().enumerate() {
-        let (lo, hi) = op.window();
-        row0s.push(op.qr_rows.0);
-        let deps: Vec<TaskId> = placed
-            .iter()
-            .filter(|&&(plo, phi, _)| plo < hi && lo < phi)
-            .map(|&(_, _, id)| id)
-            .collect();
-        let id = graph.add_task("sbr.chase", &deps, move || {
-            let owner_idx = (lo / cols_per_proc).min(p - 1);
-            let owner = grid.proc(owner_idx);
-            let h = op.h();
-            let (nr, nc) = (op.nr(), op.nc());
-            let f = costs::qr_flops(nr, h)
-                + costs::gemm_flops(nc, nr, h)
-                + 2 * costs::gemm_flops(h, h, h)
-                + costs::gemm_flops(nr, h, h)
-                + 2 * costs::gemm_flops(nr, h, nc);
-            machine.charge_flops(owner, f);
-            let win_words = ((hi - lo) * (cap + 1).min(hi - lo)) as u64;
-            machine
-                .charge_vert(owner, win_words.min(h_cache.max(1)) + win_words.saturating_sub(h_cache));
-            let last_idx = ((hi - 1) / cols_per_proc).min(p - 1);
-            if last_idx != owner_idx {
-                let boundary = h * (b + 1);
-                machine.charge_transfer(owner, grid.proc(last_idx), 2 * boundary as u64);
-            }
-
-            let mut w = work.lock().unwrap_or_else(|e| e.into_inner());
-            if recording {
-                let (u, t) = ca_dla::bulge::execute_chase_recording(&mut w, &op);
-                drop(w);
-                cells[slot].set((u, t));
-            } else {
-                execute_chase(&mut w, &op);
-            }
-        });
-        placed.push((lo, hi, id));
-    }
-    graph.run();
-
-    if let Some(r) = rec {
-        for (cell, row0) in factor_cells.iter().zip(row0s) {
-            let (u, t) = cell.take();
-            r.push(crate::transforms::Reflectors { row0, u, t });
-        }
-    }
-
-    machine.step(grid.procs(), p as u64);
-    machine.fence();
-
-    let mut out = work_slot.into_inner().unwrap_or_else(|e| e.into_inner());
-    out.set_bandwidth(b.div_ceil(2));
-    out
 }
 
 #[cfg(test)]

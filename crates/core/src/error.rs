@@ -118,6 +118,13 @@ pub enum EigenError {
         /// Eigenvalue index being iterated when the budget ran out.
         index: usize,
     },
+    /// The solve panicked — a bug, not a property of the input. The
+    /// `ca-service` workers catch the panic, report it here and keep
+    /// serving.
+    Internal {
+        /// The panic payload's message.
+        message: String,
+    },
 }
 
 impl From<ca_dla::tridiag::NoConvergence> for EigenError {
@@ -184,6 +191,7 @@ impl fmt::Display for EigenError {
                      is the input finite?"
                 )
             }
+            Self::Internal { message } => write!(f, "internal solver error: {message}"),
         }
     }
 }
@@ -220,6 +228,7 @@ mod tests {
             ),
             (EigenError::QueueFull { capacity: 4 }, "capacity 4"),
             (EigenError::ServiceShutdown, "shut down"),
+            (EigenError::Internal { message: "boom".into() }, "internal solver error: boom"),
         ];
         for (e, needle) in cases {
             let msg = e.to_string();

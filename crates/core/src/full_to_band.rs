@@ -21,17 +21,14 @@
 
 use crate::params::EigenParams;
 use ca_bsp::Machine;
-use ca_dla::gemm::Trans;
 use ca_dla::{BandedSym, Matrix};
-use ca_pla::carma::{carma_spread, carma_spread_into};
-use ca_pla::dag::{TaskCell, TaskGraph, TaskId};
+use ca_pla::carma::carma_spread;
 use ca_pla::dist::DistMatrix;
 use ca_pla::exec;
 use ca_pla::grid::Grid;
 use ca_pla::kern;
 use ca_pla::rect_qr::rect_qr;
-use ca_pla::streaming::{streaming_mm_dense, streaming_mm_view_into};
-use std::sync::{Mutex, RwLock};
+use ca_pla::streaming::streaming_mm_dense;
 
 /// Structural trace of the reduction, used by the Figure-1 regeneration
 /// binary and by tests.
@@ -114,12 +111,14 @@ pub fn full_to_band_logged(
     full_to_band_impl(machine, params, a, b, Some(rec))
 }
 
+/// The straight-line Algorithm IV.1 superstep schedule, one `fence`
+/// per panel.
 fn full_to_band_impl(
     machine: &Machine,
     params: &EigenParams,
     a: &Matrix,
     b: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
+    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
 ) -> (BandedSym, FullToBandTrace) {
     let _span = ca_obs::kernel_span("driver.full_to_band");
     let n = a.rows();
@@ -127,25 +126,6 @@ fn full_to_band_impl(
     assert!(a.asymmetry() < 1e-10 * a.norm_max().max(1.0), "input must be symmetric");
     assert!(b >= 1 && b < n, "band-width must satisfy 1 ≤ b < n");
 
-    if ca_obs::knobs::lookahead() {
-        full_to_band_dag(machine, params, a, b, rec)
-    } else {
-        full_to_band_barrier(machine, params, a, b, rec)
-    }
-}
-
-/// Superstep-barrier driver: the straight-line Algorithm IV.1 schedule,
-/// one `fence` per panel. This is the reference path the task-graph
-/// driver ([`full_to_band_dag`]) must match bit-for-bit in output,
-/// eigenvector record and ledger.
-fn full_to_band_barrier(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-    b: usize,
-    mut rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, FullToBandTrace) {
-    let n = a.rows();
     let grid3 = params.grid3();
     let w_depth = params.stream_depth(n, b);
     let v_mem = params.p_2m3d();
@@ -357,481 +337,6 @@ fn full_to_band_barrier(
     rep.release(machine);
     machine.fence();
     (out, trace)
-}
-
-/// Task-graph (`CA_LOOKAHEAD`) driver for Algorithm IV.1.
-///
-/// Builds one dependency-driven task per pseudocode line and panel —
-/// the two line-5 aggregate products, the panel combine, the diagonal
-/// band write, the panel QR (line 7), the three W terms (line 8), the
-/// V₁ chain (line 9) and the aggregate append (line 10) — and hands the
-/// graph to [`ca_pla::dag::TaskGraph`]. Data dependencies replace the
-/// barrier path's lockstep schedule: independent tasks (the line-5
-/// pair, the two aggregate W chains, the band writes vs. the QR) may
-/// overlap, and panel `k`'s band writes may run concurrently with panel
-/// `k+1`. Cross-panel QR lookahead is bounded at depth 1 by the
-/// algorithm itself: panel `k+1`'s line 5 reads the aggregates through
-/// panel `k` (DESIGN.md §6g).
-///
-/// Output and ledger are bit-identical to [`full_to_band_barrier`]:
-/// * task bodies perform the barrier path's arithmetic through the
-///   zero-copy `_into` kernels, which are bitwise-equal to their
-///   copy-path counterparts (see the `ca_pla::{carma, streaming}`
-///   equivalence tests);
-/// * every BSP charge is captured per task and replayed in the barrier
-///   path's program order with the per-panel fences restored as replay
-///   markers (`ca_pla::dag` module docs give the determinism argument).
-fn full_to_band_dag(
-    machine: &Machine,
-    params: &EigenParams,
-    a: &Matrix,
-    b: usize,
-    rec: Option<&mut Vec<crate::transforms::Reflectors>>,
-) -> (BandedSym, FullToBandTrace) {
-    let n = a.rows();
-    let grid3 = params.grid3();
-    let w_depth = params.stream_depth(n, b);
-    let v_mem = params.p_2m3d();
-    let all = Grid::all(params.p);
-    let p = params.p;
-    let q = params.q;
-    let per_proc = move |words: usize| (words as u64).div_ceil(p.max(1) as u64);
-
-    // Replication happens live, before the graph: its charges open the
-    // same ledger phase that panel 0's replayed charges complete.
-    let rep = ca_pla::streaming::Replicated::replicate(machine, &grid3, a);
-
-    // Static panel schedule — offsets, trailing sizes, aggregate widths
-    // and reflector counts are all data-independent, so the whole graph
-    // is built up front.
-    struct PanelSpec {
-        o: usize,
-        rem: usize,
-        m_agg: usize,
-        kk: usize,
-        qr_procs: usize,
-    }
-    let mut trace = FullToBandTrace::default();
-    let mut specs: Vec<PanelSpec> = Vec::new();
-    {
-        let mut o = 0usize;
-        let mut m_agg = 0usize;
-        let mut step = 0usize;
-        while n - o > b {
-            let rem = n - o;
-            trace.panels.push(PanelTrace {
-                step,
-                offset: o,
-                remaining: rem,
-                agg_cols: m_agg,
-                qr_procs: params.panel_qr_procs(n, b),
-            });
-            let kk = (rem - b).min(b);
-            specs.push(PanelSpec {
-                o,
-                rem,
-                m_agg,
-                kk,
-                qr_procs: params.panel_qr_procs(n, b).min(rem - b).max(1),
-            });
-            m_agg += kk;
-            o += b;
-            step += 1;
-        }
-    }
-    let total_agg: usize = specs.iter().map(|s| s.kk).sum();
-    let m_agg_final = specs.last().map_or(0, |s| s.m_agg + s.kk);
-    let o_final = specs.len() * b;
-
-    // Shared state the tasks hand each other. Locks never contend on a
-    // value's bits — the dependency edges serialize every write against
-    // every read — they only make the sharing safe across worker
-    // threads.
-    let out_slot = Mutex::new(BandedSym::zeros(n, b, b));
-    let u_agg = RwLock::new(Matrix::zeros(n, total_agg));
-    let v_agg = RwLock::new(Matrix::zeros(n, total_agg));
-    let rec = Mutex::new(rec);
-
-    #[derive(Default)]
-    struct PanelCells {
-        /// Updated panel A̅(o.., o..o+b) (only built when m_agg > 0).
-        panel: TaskCell<Matrix>,
-        upd1: TaskCell<Matrix>,
-        upd2: TaskCell<Matrix>,
-        /// (U₁, T, R) from the line-7 QR.
-        qr: TaskCell<(Matrix, Matrix, Matrix)>,
-        w: TaskCell<Matrix>,
-        w2: TaskCell<Matrix>,
-        w3: TaskCell<Matrix>,
-    }
-    let cells: Vec<PanelCells> = specs.iter().map(|_| PanelCells::default()).collect();
-    let base_upd1 = TaskCell::<Matrix>::new();
-    let base_upd2 = TaskCell::<Matrix>::new();
-
-    let a_ref = a;
-    let grid3 = &grid3;
-    let all = &all;
-    let out = &out_slot;
-    let u_agg = &u_agg;
-    let v_agg = &v_agg;
-    let rec = &rec;
-    let cells = &cells;
-    let base_upd1 = &base_upd1;
-    let base_upd2 = &base_upd2;
-
-    let mut graph = TaskGraph::new(machine);
-    // Tail of the previous panel (its aggregate append): insertion
-    // order == barrier program order, so replaying the per-task logs in
-    // insertion order reproduces the barrier ledger exactly.
-    let mut prev_tail: Option<TaskId> = None;
-    for (k, s) in specs.iter().enumerate() {
-        let (o, rem, m_agg, kk) = (s.o, s.rem, s.m_agg, s.kk);
-        let qr_procs = s.qr_procs;
-        let c = &cells[k];
-        let deps_prev: Vec<TaskId> = prev_tail.into_iter().collect();
-
-        // Line 5: the two aggregate products are independent tasks; the
-        // combine joins them. The transposed aggregate blocks are read
-        // in place (`transpose_b`) instead of being materialized.
-        let combine = if m_agg > 0 {
-            let t5a = graph.add_task("f2b.line5a", &deps_prev, move || {
-                let ug = u_agg.read().unwrap();
-                let vg = v_agg.read().unwrap();
-                let mut buf = Matrix::zeros(rem, b);
-                streaming_mm_view_into(
-                    machine,
-                    grid3,
-                    &ug.view(),
-                    (o, 0, rem, m_agg),
-                    false,
-                    &vg.subview(o, 0, b, m_agg),
-                    true,
-                    w_depth,
-                    &mut buf.view_mut(),
-                );
-                c.upd1.set(buf);
-            });
-            let t5b = graph.add_task("f2b.line5b", &deps_prev, move || {
-                let ug = u_agg.read().unwrap();
-                let vg = v_agg.read().unwrap();
-                let mut buf = Matrix::zeros(rem, b);
-                streaming_mm_view_into(
-                    machine,
-                    grid3,
-                    &vg.view(),
-                    (o, 0, rem, m_agg),
-                    false,
-                    &ug.subview(o, 0, b, m_agg),
-                    true,
-                    w_depth,
-                    &mut buf.view_mut(),
-                );
-                c.upd2.set(buf);
-            });
-            let comb = graph.add_task("f2b.panel", &[t5a, t5b], move || {
-                let mut panel = a_ref.block(o, o, rem, b);
-                panel.axpy(1.0, &c.upd1.take());
-                panel.axpy(1.0, &c.upd2.take());
-                for &pid in all.procs() {
-                    machine.charge_flops(pid, 2 * per_proc(rem * b));
-                }
-                c.panel.set(panel);
-            });
-            Some(comb)
-        } else {
-            None
-        };
-        let panel_deps: Vec<TaskId> = combine.into_iter().collect();
-
-        // The diagonal block A̅₁₁ goes straight into the output band,
-        // symmetrized in flight (`½(aᵢⱼ + aⱼᵢ)` with the lower-triangle
-        // element first — `Matrix::symmetrize`'s exact expression).
-        graph.add_task("f2b.diag", &panel_deps, move || {
-            let mut band = out.lock().unwrap();
-            let mut write = |get: &dyn Fn(usize, usize) -> f64| {
-                for j in 0..b {
-                    for i in j..b {
-                        let v = if i == j {
-                            get(i, i)
-                        } else {
-                            0.5 * (get(i, j) + get(j, i))
-                        };
-                        band.set(o + i, o + j, v);
-                    }
-                }
-            };
-            if m_agg > 0 {
-                c.panel.with_ref(|pm| write(&|i, j| pm.get(i, j)));
-            } else {
-                write(&|i, j| a_ref.get(o + i, o + j));
-            }
-        });
-
-        // Line 7: panel QR (and the eigenvector record, whose push
-        // order the dependency chain keeps identical to the barrier
-        // path's panel order).
-        let qr_id = graph.add_task("f2b.qr", &panel_deps, move || {
-            let a21 = if m_agg > 0 {
-                c.panel.with_ref(|pm| pm.block(b, 0, rem - b, b))
-            } else {
-                a_ref.block(o + b, o, rem - b, b)
-            };
-            let factors = if rem - b >= b {
-                let qr_group = Grid::new_2d((0..qr_procs).collect(), qr_procs, 1);
-                let da21 = DistMatrix::from_dense(machine, &qr_group, &a21);
-                let f = rect_qr(machine, &da21);
-                da21.release(machine);
-                let u1 = f.u.assemble_unchecked();
-                f.u.release(machine);
-                (u1, f.t, f.r)
-            } else {
-                let f = kern::local_qr(machine, all.proc(0), &a21);
-                let factor_words = (f.u.len() + f.t.len() + f.r.len()) as u64;
-                for &pid in all.procs() {
-                    machine.charge_comm(pid, 2 * factor_words.div_ceil(p as u64));
-                }
-                machine.step(all.procs(), 1);
-                (f.u, f.t, f.r)
-            };
-            if let Some(r) = rec.lock().unwrap().as_deref_mut() {
-                r.push(crate::transforms::Reflectors {
-                    row0: o + b,
-                    u: factors.0.clone(),
-                    t: factors.1.clone(),
-                });
-            }
-            c.qr.set(factors);
-        });
-
-        graph.add_task("f2b.subdiag", &[qr_id], move || {
-            let mut band = out.lock().unwrap();
-            c.qr.with_ref(|(_, _, r1)| write_subdiag_block(&mut band, o, r1));
-        });
-
-        // Line 8: W = A₂₂·U₁ + U₂⁽⁰⁾(V₂⁽⁰⁾ᵀU₁) + V₂⁽⁰⁾(U₂⁽⁰⁾ᵀU₁); the
-        // three terms are independent tasks.
-        let w_id = graph.add_task("f2b.w", &[qr_id], move || {
-            c.qr.with_ref(|(u1, _, _)| {
-                let mut buf = Matrix::zeros(rem - b, kk);
-                streaming_mm_view_into(
-                    machine,
-                    grid3,
-                    &a_ref.view(),
-                    (o + b, o + b, rem - b, rem - b),
-                    false,
-                    &u1.view(),
-                    false,
-                    w_depth,
-                    &mut buf.view_mut(),
-                );
-                c.w.set(buf);
-            });
-        });
-        let w_tail = if m_agg > 0 {
-            let w2_id = graph.add_task("f2b.w2", &[qr_id], move || {
-                let ug = u_agg.read().unwrap();
-                let vg = v_agg.read().unwrap();
-                c.qr.with_ref(|(u1, _, _)| {
-                    let mut vtu = Matrix::zeros(m_agg, kk);
-                    streaming_mm_view_into(
-                        machine,
-                        grid3,
-                        &vg.view(),
-                        (o + b, 0, rem - b, m_agg),
-                        true,
-                        &u1.view(),
-                        false,
-                        w_depth,
-                        &mut vtu.view_mut(),
-                    );
-                    let mut buf = Matrix::zeros(rem - b, kk);
-                    streaming_mm_view_into(
-                        machine,
-                        grid3,
-                        &ug.view(),
-                        (o + b, 0, rem - b, m_agg),
-                        false,
-                        &vtu.view(),
-                        false,
-                        w_depth,
-                        &mut buf.view_mut(),
-                    );
-                    c.w2.set(buf);
-                });
-            });
-            let w3_id = graph.add_task("f2b.w3", &[qr_id], move || {
-                let ug = u_agg.read().unwrap();
-                let vg = v_agg.read().unwrap();
-                c.qr.with_ref(|(u1, _, _)| {
-                    let mut utu = Matrix::zeros(m_agg, kk);
-                    streaming_mm_view_into(
-                        machine,
-                        grid3,
-                        &ug.view(),
-                        (o + b, 0, rem - b, m_agg),
-                        true,
-                        &u1.view(),
-                        false,
-                        w_depth,
-                        &mut utu.view_mut(),
-                    );
-                    let mut buf = Matrix::zeros(rem - b, kk);
-                    streaming_mm_view_into(
-                        machine,
-                        grid3,
-                        &vg.view(),
-                        (o + b, 0, rem - b, m_agg),
-                        false,
-                        &utu.view(),
-                        false,
-                        w_depth,
-                        &mut buf.view_mut(),
-                    );
-                    c.w3.set(buf);
-                });
-            });
-            graph.add_task("f2b.wsum", &[w_id, w2_id, w3_id], move || {
-                c.w.with_mut(|w| {
-                    w.axpy(1.0, &c.w2.take());
-                    w.axpy(1.0, &c.w3.take());
-                });
-                for &pid in all.procs() {
-                    machine.charge_flops(pid, 2 * per_proc((rem - b) * b));
-                }
-            })
-        } else {
-            w_id
-        };
-
-        // Line 9: V₁ = ½U₁(Tᵀ(U₁ᵀ(W·T))) − W·T, written straight into
-        // the aggregate; the U₁ᵀ/Tᵀ operands are read in place.
-        let v_id = graph.add_task("f2b.v1", &[w_tail], move || {
-            c.qr.with_ref(|(u1, t1, _)| {
-                let w = c.w.take();
-                let mut wt = Matrix::zeros(rem - b, kk);
-                carma_spread_into(
-                    machine, all, &w.view(), Trans::N, &t1.view(), v_mem,
-                    &mut wt.view_mut(),
-                );
-                let mut utwt = Matrix::zeros(kk, kk);
-                carma_spread_into(
-                    machine, all, &u1.view(), Trans::T, &wt.view(), 1,
-                    &mut utwt.view_mut(),
-                );
-                let mut t_utwt = Matrix::zeros(kk, kk);
-                carma_spread_into(
-                    machine, all, &t1.view(), Trans::T, &utwt.view(), 1,
-                    &mut t_utwt.view_mut(),
-                );
-                let mut corr = Matrix::zeros(rem - b, kk);
-                carma_spread_into(
-                    machine, all, &u1.view(), Trans::N, &t_utwt.view(), v_mem,
-                    &mut corr.view_mut(),
-                );
-                // Fused `v1 = -wt; v1 += ½·corr` (the barrier path's
-                // scale-then-axpy, expression for expression — the
-                // `* -1.0` spelling is the scale's exact arithmetic).
-                let mut vg = v_agg.write().unwrap();
-                let mut dst = vg.subview_mut(o + b, m_agg, rem - b, kk);
-                #[allow(clippy::neg_multiply)]
-                for j in 0..kk {
-                    for i in 0..rem - b {
-                        dst.set(i, j, wt.get(i, j) * -1.0 + 0.5 * corr.get(i, j));
-                    }
-                }
-                drop(vg);
-                for &pid in all.procs() {
-                    machine.charge_flops(pid, 2 * per_proc((rem - b) * b));
-                }
-            });
-        });
-
-        // Line 10: replicate-and-append charges, then the U₁ append.
-        let append_id = graph.add_task("f2b.append", &[v_id], move || {
-            let rep_words = 2 * (rem - b) * kk;
-            for &pid in grid3.procs() {
-                machine.charge_comm(pid, 2 * (rep_words as u64).div_ceil(p as u64));
-                machine.alloc(pid, (rep_words as u64).div_ceil((q * q) as u64));
-            }
-            machine.step(grid3.procs(), 2);
-            c.qr.with_ref(|(u1, _, _)| {
-                u_agg.write().unwrap().set_block(o + b, m_agg, u1);
-            });
-        });
-        graph.add_fence();
-        prev_tail = Some(append_id);
-    }
-
-    // Base case (lines 1–2): the final block, updated from the full
-    // aggregates and symmetrized into the band.
-    let (o, rem, m_agg) = (o_final, n - o_final, m_agg_final);
-    let base_deps: Vec<TaskId> = prev_tail.into_iter().collect();
-    let base_id = if m_agg > 0 {
-        let b5a = graph.add_task("f2b.base5a", &base_deps, move || {
-            let ug = u_agg.read().unwrap();
-            let vg = v_agg.read().unwrap();
-            let mut buf = Matrix::zeros(rem, rem);
-            streaming_mm_view_into(
-                machine,
-                grid3,
-                &ug.view(),
-                (o, 0, rem, m_agg),
-                false,
-                &vg.subview(o, 0, rem, m_agg),
-                true,
-                w_depth,
-                &mut buf.view_mut(),
-            );
-            base_upd1.set(buf);
-        });
-        let b5b = graph.add_task("f2b.base5b", &base_deps, move || {
-            let ug = u_agg.read().unwrap();
-            let vg = v_agg.read().unwrap();
-            let mut buf = Matrix::zeros(rem, rem);
-            streaming_mm_view_into(
-                machine,
-                grid3,
-                &vg.view(),
-                (o, 0, rem, m_agg),
-                false,
-                &ug.subview(o, 0, rem, m_agg),
-                true,
-                w_depth,
-                &mut buf.view_mut(),
-            );
-            base_upd2.set(buf);
-        });
-        graph.add_task("f2b.base", &[b5a, b5b], move || {
-            let mut last = a_ref.block(o, o, rem, rem);
-            last.axpy(1.0, &base_upd1.take());
-            last.axpy(1.0, &base_upd2.take());
-            for &pid in all.procs() {
-                machine.charge_flops(pid, 2 * per_proc(rem * rem));
-            }
-            last.symmetrize();
-            let mut band = out.lock().unwrap();
-            write_diag_block(&mut band, o, &last);
-        })
-    } else {
-        graph.add_task("f2b.base", &base_deps, move || {
-            let mut band = out.lock().unwrap();
-            for j in 0..rem {
-                for i in j..rem {
-                    let v = if i == j {
-                        a_ref.get(o + i, o + i)
-                    } else {
-                        0.5 * (a_ref.get(o + i, o + j) + a_ref.get(o + j, o + i))
-                    };
-                    band.set(o + i, o + j, v);
-                }
-            }
-        })
-    };
-    graph.add_task("f2b.release", &[base_id], move || rep.release(machine));
-    graph.add_fence();
-    graph.run();
-
-    (out_slot.into_inner().unwrap(), trace)
 }
 
 /// Write a symmetric `b×b` diagonal block into the band at offset `o`.

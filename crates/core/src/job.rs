@@ -1,7 +1,7 @@
 //! Job and result types for batched / multi-tenant serving.
 //!
 //! A [`SymmEigenJob`] packages one independent eigenproblem — the
-//! matrix, grid parameters, engine choice, whether eigenvectors are
+//! matrix, grid parameters, whether eigenvectors are
 //! wanted, and an optional scheduling deadline — into a value that can
 //! be queued, moved across threads, and solved anywhere.
 //! [`solve_job`] is the *one* execution path for a job: the
@@ -20,43 +20,6 @@ use ca_dla::tune::{self, KnobSnapshot};
 use ca_dla::Matrix;
 use std::time::Duration;
 
-/// Which sequential-finale engine a job requests.
-///
-/// The engines differ in schedule (QL rotations vs divide-and-conquer
-/// secular solves) but both return the full spectrum; `Auto` defers to
-/// the configuration snapshot in effect (the `CA_DNC` knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Use whatever the active [`KnobSnapshot`] says (`CA_DNC`).
-    #[default]
-    Auto,
-    /// Force the implicit-shift QL finale (`CA_DNC=0` semantics).
-    Ql,
-    /// Force the divide-and-conquer finale.
-    Dnc,
-}
-
-impl Engine {
-    /// The knob snapshot this engine choice executes under, given the
-    /// service's (or process's) base snapshot.
-    pub fn apply(self, base: KnobSnapshot) -> KnobSnapshot {
-        match self {
-            Engine::Auto => base,
-            Engine::Ql => KnobSnapshot { dnc_enabled: false, ..base },
-            Engine::Dnc => KnobSnapshot { dnc_enabled: true, ..base },
-        }
-    }
-
-    /// Display name (`"auto"` / `"ql"` / `"dnc"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Auto => "auto",
-            Engine::Ql => "ql",
-            Engine::Dnc => "dnc",
-        }
-    }
-}
-
 /// One independent symmetric eigenproblem, ready to be queued.
 #[derive(Debug, Clone)]
 pub struct SymmEigenJob {
@@ -67,8 +30,6 @@ pub struct SymmEigenJob {
     /// Whether eigenvectors are wanted (the §IV.C extension) or
     /// eigenvalues only.
     pub want_vectors: bool,
-    /// Sequential-finale engine selection.
-    pub engine: Engine,
     /// Optional scheduling deadline: if the job is still queued when
     /// this much time has passed since submission, it is cancelled with
     /// [`EigenError::Deadline`] instead of being started. `None` waits
@@ -85,7 +46,6 @@ impl SymmEigenJob {
             a,
             params: EigenParams::new(p, c),
             want_vectors: false,
-            engine: Engine::Auto,
             timeout: None,
         }
     }
@@ -93,12 +53,6 @@ impl SymmEigenJob {
     /// A values-and-vectors job (see [`SymmEigenJob::values`]).
     pub fn with_vectors(a: Matrix, p: usize, c: usize) -> Self {
         Self { want_vectors: true, ..Self::values(a, p, c) }
-    }
-
-    /// Set the engine, by value (builder style).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Set the scheduling deadline, by value (builder style).
@@ -130,13 +84,11 @@ pub struct JobResult {
 /// Solve one job under the given configuration snapshot.
 ///
 /// Creates a fresh [`Machine`] for the job (ledger isolation between
-/// tenants), pins `knobs` (adjusted by the job's [`Engine`] choice) for
-/// the duration via [`tune::with_knobs`], and dispatches to the
-/// values-only or vectors solver. This function is deliberately the
+/// tenants), pins `knobs` for the duration via [`tune::with_knobs`],
+/// and dispatches to the values-only or vectors solver. This function is deliberately the
 /// only way jobs are executed — see the module docs for the
 /// determinism argument.
 pub fn solve_job(job: &SymmEigenJob, knobs: KnobSnapshot) -> Result<JobResult, EigenError> {
-    let knobs = job.engine.apply(knobs);
     tune::with_knobs(knobs, || {
         let machine = Machine::new(MachineParams::new(job.params.p));
         if job.want_vectors {
@@ -187,35 +139,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "solve_job must be bit-identical to a direct solver call"
-        );
-    }
-
-    #[test]
-    fn engine_choice_pins_the_finale() {
-        let (job, spectrum) = test_job(48, true);
-        let base = KnobSnapshot::capture();
-        let ql = solve_job(&job.clone().engine(Engine::Ql), base).expect("ql");
-        let dnc = solve_job(&job.clone().engine(Engine::Dnc), base).expect("dnc");
-        assert!(!ql.knobs.dnc_enabled);
-        assert!(dnc.knobs.dnc_enabled);
-        for out in [&ql, &dnc] {
-            assert!(spectrum_distance(&out.eigenvalues, &spectrum) < 1e-8);
-            assert!(out.vectors.is_some());
-        }
-        // Engine selection through the job must match flipping the
-        // global knob by hand.
-        let was = tune::dnc_enabled();
-        tune::set_dnc_enabled(false);
-        let global_ql = solve_job(&job.clone().engine(Engine::Auto), KnobSnapshot::capture());
-        tune::set_dnc_enabled(was);
-        let global_ql = global_ql.expect("global ql");
-        assert_eq!(
-            ql.eigenvalues.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            global_ql
-                .eigenvalues
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
         );
     }
 

@@ -353,15 +353,10 @@ fn solve_impl(
         ((n * (bw + 1)) as u64).div_ceil(p as u64),
     );
     // Sequential band → tridiagonal + eigensolve, charged to
-    // processor 0 under the active engine's cost model: the fused
-    // rank-1 sweep is ≈ 6nb² flops either way, but divide-and-conquer
-    // replaces QL's ~30n² dependent rotations with secular solves and
-    // 2×m·m row-carrier merge GEMMs (≈ 16n² with typical deflation).
-    let seq_flops = if ca_dla::tune::dnc_enabled() {
-        6 * (n as u64) * (bw as u64).pow(2) + 16 * (n as u64).pow(2)
-    } else {
-        6 * (n as u64) * (bw as u64).pow(2) + 30 * (n as u64).pow(2)
-    };
+    // processor 0: the fused rank-1 sweep is ≈ 6nb² flops, and
+    // divide-and-conquer's secular solves and 2×m·m row-carrier merge
+    // GEMMs are ≈ 16n² with typical deflation.
+    let seq_flops = 6 * (n as u64) * (bw as u64).pow(2) + 16 * (n as u64).pow(2);
     machine.charge_flops(machine_proc0(), seq_flops);
     machine.charge_vert(machine_proc0(), (n * (bw + 1)) as u64);
 
@@ -383,45 +378,36 @@ fn solve_impl(
                 rehoused.set(i, j, band.get(i, j));
             }
         }
-        if ca_dla::tune::dnc_enabled() {
-            // Recorded halvings down to the fused-sweep floor (fat
-            // compact-WY reflectors at matrix–matrix rates), then the
-            // fused rank-1 sweep whose reflectors are single
-            // Householder columns (k = 1 fast path in back_transform).
-            let floor = ca_dla::tune::halve_floor();
-            while rehoused.bandwidth() > floor && rehoused.bandwidth() >= 2 {
-                let b = rehoused.bandwidth();
-                let stage = log.stage(&format!("sequential band halving (b={b})"));
-                for op in ca_dla::bulge::chase_plan(n, b, 2) {
-                    let row0 = op.qr_rows.0;
-                    let (u, t) = ca_dla::bulge::execute_chase_recording(&mut rehoused, &op);
-                    stage.push(crate::transforms::Reflectors { row0, u, t });
-                }
-                rehoused.set_bandwidth(b.div_ceil(2));
-            }
-            let stage = log.stage("sequential band→tridiagonal (fused sweep)");
-            for (row0, u, tau) in ca_dla::bulge::sweep_to_tridiagonal_recording(&mut rehoused) {
-                let rows = u.len();
-                stage.push(crate::transforms::Reflectors {
-                    row0,
-                    u: Matrix::from_vec(rows, 1, u),
-                    t: Matrix::from_vec(1, 1, vec![tau]),
-                });
-            }
-        } else {
-            let stage = log.stage("sequential band→tridiagonal");
-            for op in ca_dla::bulge::chase_plan(n, bw, bw) {
+        // Recorded halvings down to the fused-sweep floor (fat
+        // compact-WY reflectors at matrix–matrix rates), then the
+        // fused rank-1 sweep whose reflectors are single
+        // Householder columns (k = 1 fast path in back_transform).
+        let floor = ca_dla::tune::halve_floor();
+        while rehoused.bandwidth() > floor && rehoused.bandwidth() >= 2 {
+            let b = rehoused.bandwidth();
+            let stage = log.stage(&format!("sequential band halving (b={b})"));
+            for op in ca_dla::bulge::chase_plan(n, b, 2) {
                 let row0 = op.qr_rows.0;
                 let (u, t) = ca_dla::bulge::execute_chase_recording(&mut rehoused, &op);
                 stage.push(crate::transforms::Reflectors { row0, u, t });
             }
+            rehoused.set_bandwidth(b.div_ceil(2));
+        }
+        let stage = log.stage("sequential band→tridiagonal (fused sweep)");
+        for (row0, u, tau) in ca_dla::bulge::sweep_to_tridiagonal_recording(&mut rehoused) {
+            let rows = u.len();
+            stage.push(crate::transforms::Reflectors {
+                row0,
+                u: Matrix::from_vec(rows, 1, u),
+                t: Matrix::from_vec(1, 1, vec![tau]),
+            });
         }
         rehoused
     } else {
         band
     };
     let (d, e) = work.tridiagonal();
-    let (ev, z) = if ca_dla::tune::dnc_enabled() && n > ca_dla::tune::dnc_leaf() {
+    let (ev, z) = if n > ca_dla::tune::dnc_leaf() {
         ca_dla::dnc::dnc_eigen(&d, &e)?
     } else {
         ca_dla::tridiag::try_tridiag_eigen(&d, &e)?

@@ -241,45 +241,38 @@ pub fn banded_eigenvalues(b: &BandedSym) -> Vec<f64> {
 /// bulge-chase the band down to tridiagonal and run a tridiagonal
 /// eigensolver, with non-convergence reported as [`NoConvergence`].
 ///
-/// The schedule is governed by [`crate::tune`]. With divide-and-conquer
-/// enabled (the default), bandwidth-halving sweeps (fat rank-`b/2`
-/// block reflectors — matrix–matrix rates) run while the band is above
-/// [`tune::halve_floor`], the remaining reduction runs as one fused
-/// rank-1 sweep ([`bulge::sweep_to_tridiagonal`]), and the tridiagonal
-/// spectrum comes from [`crate::dnc`]. With `CA_DNC=0` the legacy
-/// schedule is preserved exactly: halve to bandwidth 8, generic `h = 1`
-/// chase, implicit-QL finale.
+/// The schedule is governed by [`crate::tune`]: bandwidth-halving
+/// sweeps (fat rank-`b/2` block reflectors — matrix–matrix rates) run
+/// while the band is above [`tune::halve_floor`], the remaining
+/// reduction runs as one fused rank-1 sweep
+/// ([`bulge::sweep_to_tridiagonal`]), and the tridiagonal spectrum
+/// comes from [`crate::dnc`] (implicit QL below [`tune::dnc_leaf`]).
 pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> {
     let n = b.n();
     if n == 1 {
         return Ok(vec![b.get(0, 0)]);
     }
     let bw = b.bandwidth().max(b.measured_bandwidth(0.0));
-    if bw <= 1 {
-        let (d, e) = b.tridiagonal();
-        return if tune::dnc_enabled() && d.len() > tune::dnc_leaf() {
-            crate::dnc::dnc_eigenvalues(&d, &e)
-        } else {
-            try_tridiag_eigenvalues(&d, &e)
-        };
-    }
-    // Re-house with enough fill capacity, then reduce to tridiagonal in
-    // bandwidth-halving sweeps while the band is fat: each halving's
-    // chases apply rank-⌈b/2⌉ block reflectors (fat GEMMs) instead of
-    // the rank-1 updates a direct b → 1 sweep degenerates to — the
-    // difference between matrix–matrix and matrix–vector flop rates.
-    // Below the crossover the chase count (∼n²/b² per halving) and its
-    // per-window overhead dominate the shrinking flop payload, so the
-    // tail runs as one direct sweep to bandwidth 1. The initial
-    // capacity 2·bw covers every later halving's 2·b′ fill as well.
-    let cap = (2 * bw).min(n - 1);
-    let mut work = BandedSym::zeros(n, bw, cap);
-    for j in 0..n {
-        for i in j..n.min(j + bw + 1) {
-            work.set(i, j, b.get(i, j));
+    let (d, e) = if bw <= 1 {
+        b.tridiagonal()
+    } else {
+        // Re-house with enough fill capacity, then reduce to tridiagonal
+        // in bandwidth-halving sweeps while the band is fat: each
+        // halving's chases apply rank-⌈b/2⌉ block reflectors (fat GEMMs)
+        // instead of the rank-1 updates a direct b → 1 sweep degenerates
+        // to — the difference between matrix–matrix and matrix–vector
+        // flop rates. Below the crossover the chase count (∼n²/b² per
+        // halving) and its per-window overhead dominate the shrinking
+        // flop payload, so the tail runs as one direct sweep to
+        // bandwidth 1. The initial capacity 2·bw covers every later
+        // halving's 2·b′ fill as well.
+        let cap = (2 * bw).min(n - 1);
+        let mut work = BandedSym::zeros(n, bw, cap);
+        for j in 0..n {
+            for i in j..n.min(j + bw + 1) {
+                work.set(i, j, b.get(i, j));
+            }
         }
-    }
-    if tune::dnc_enabled() {
         let floor = tune::halve_floor();
         while work.bandwidth() > floor {
             bulge::reduce_band(&mut work, 2);
@@ -287,21 +280,11 @@ pub fn try_banded_eigenvalues(b: &BandedSym) -> Result<Vec<f64>, NoConvergence> 
         if work.bandwidth() > 1 {
             bulge::sweep_to_tridiagonal(&mut work);
         }
-        let (d, e) = work.tridiagonal();
-        if d.len() > tune::dnc_leaf() {
-            crate::dnc::dnc_eigenvalues(&d, &e)
-        } else {
-            try_tridiag_eigenvalues(&d, &e)
-        }
+        work.tridiagonal()
+    };
+    if d.len() > tune::dnc_leaf() {
+        crate::dnc::dnc_eigenvalues(&d, &e)
     } else {
-        const HALVE_FLOOR: usize = 8;
-        while work.bandwidth() > HALVE_FLOOR {
-            bulge::reduce_band(&mut work, 2);
-        }
-        if work.bandwidth() > 1 {
-            bulge::reduce_band_to(&mut work, 1);
-        }
-        let (d, e) = work.tridiagonal();
         try_tridiag_eigenvalues(&d, &e)
     }
 }
@@ -449,17 +432,16 @@ mod tests {
 
     #[test]
     fn banded_engines_agree_on_spectrum() {
-        // Same matrix through the legacy (halve-to-8 + QL) and tuned
-        // (fused sweep + D&C) schedules.
+        // The tuned schedule (fused sweep + D&C) against the generic
+        // h = 1 chase plan followed by implicit QL.
         let mut rng = StdRng::seed_from_u64(54);
         let dense = gen::random_banded(&mut rng, 60, 7);
         let b = BandedSym::from_dense(&dense, 7, 14);
-        let was = crate::tune::dnc_enabled();
-        crate::tune::set_dnc_enabled(true);
         let tuned = banded_eigenvalues(&b);
-        crate::tune::set_dnc_enabled(false);
-        let legacy = banded_eigenvalues(&b);
-        crate::tune::set_dnc_enabled(was);
+        let mut work = b.clone();
+        bulge::reduce_band_to(&mut work, 1);
+        let (d, e) = work.tridiagonal();
+        let legacy = tridiag_eigenvalues(&d, &e);
         let dist = spectrum_distance(&tuned, &legacy);
         assert!(dist < 1e-9 * dense.norm_fro().max(1.0), "engines differ by {dist}");
     }

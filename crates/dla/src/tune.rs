@@ -13,24 +13,20 @@
 //! Both default to values picked by the stage-time bench on the
 //! reference host and can be overridden per process with the
 //! `CA_HALVE_FLOOR` / `CA_DNC_LEAF` environment variables, or per run
-//! with the setters (the bench harness toggles them to time both
-//! engines in one process). `CA_DNC=0` disables divide-and-conquer
-//! entirely, restoring the QL finale — the "before" leg of the
-//! stage-time comparison.
+//! with the setters.
 //!
 //! Reads are lock-free atomics; the env variables are consulted once,
 //! on first read, through the shared [`ca_obs::knobs`] parser (so a
-//! malformed value like `CA_DNC=fast` warns on stderr instead of being
-//! silently ignored).
+//! malformed value like `CA_DNC_LEAF=fast` warns on stderr instead of
+//! being silently ignored).
 //!
 //! ## Snapshots and per-scope overrides
 //!
 //! The process-global setters above are a footgun for anything that
-//! runs more than one solve per process: a `set_dnc_enabled` flip (or a
+//! runs more than one solve per process: a `set_dnc_leaf` call (or a
 //! test toggling knobs) midway through a batch would split the batch's
-//! configuration — some jobs on one engine, some on the other — and the
-//! solver itself samples `dnc_enabled()` several times per solve, so a
-//! flip could even split *one solve* across engines. [`KnobSnapshot`]
+//! configuration, and the solver samples the knobs several times per
+//! solve, so a flip could even split *one solve*. [`KnobSnapshot`]
 //! freezes the engine knobs at one instant and [`with_knobs`] pins them
 //! for a scope via a thread-local override that every knob read
 //! consults first. The multi-tenant service (`ca-service`) captures one
@@ -39,7 +35,7 @@
 //! batch (pinned by `tests/serial_knob.rs`).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Default bandwidth at which halving sweeps hand over to the fused
@@ -57,7 +53,6 @@ pub const DEFAULT_DNC_LEAF: usize = 40;
 
 static HALVE_FLOOR: AtomicUsize = AtomicUsize::new(0); // 0 = uninitialised
 static DNC_LEAF: AtomicUsize = AtomicUsize::new(0);
-static DNC_ENABLED: AtomicBool = AtomicBool::new(true);
 static DNC_INIT: OnceLock<()> = OnceLock::new();
 
 thread_local! {
@@ -78,7 +73,8 @@ thread_local! {
 ///   solve's engine choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnobSnapshot {
-    /// Divide-and-conquer finale enabled (see [`dnc_enabled`]).
+    /// Always `true` (see [`dnc_enabled`]). Kept only because the
+    /// benchmark's knob guard reads it; the next benchmark change drops it.
     pub dnc_enabled: bool,
     /// D&C → QL leaf crossover (see [`dnc_leaf`]).
     pub dnc_leaf: usize,
@@ -101,7 +97,7 @@ impl KnobSnapshot {
     /// captures are consistent).
     pub fn capture() -> Self {
         Self {
-            dnc_enabled: dnc_enabled(),
+            dnc_enabled: true,
             dnc_leaf: dnc_leaf(),
             halve_floor: halve_floor(),
             serial: serial(),
@@ -113,7 +109,7 @@ impl KnobSnapshot {
 /// restoring the previous override (if any) afterwards — nestable and
 /// panic-safe. Parallel regions inside `f` are unaffected where they
 /// read knobs from other threads, which is safe today because every
-/// engine-selection read (`dnc_enabled`, `dnc_leaf`, `halve_floor`)
+/// schedule read (`dnc_leaf`, `halve_floor`)
 /// happens on the thread that entered the solver; spawned workers only
 /// consult the process-cached `CA_SERIAL`.
 pub fn with_knobs<R>(snap: KnobSnapshot, f: impl FnOnce() -> R) -> R {
@@ -133,9 +129,6 @@ fn init() {
         HALVE_FLOOR.store(floor.max(1), Ordering::Relaxed);
         let leaf = ca_obs::knobs::usize_env("CA_DNC_LEAF").unwrap_or(DEFAULT_DNC_LEAF);
         DNC_LEAF.store(leaf.max(2), Ordering::Relaxed);
-        if let Some(v) = ca_obs::knobs::usize_env("CA_DNC") {
-            DNC_ENABLED.store(v != 0, Ordering::Relaxed);
-        }
     });
 }
 
@@ -171,21 +164,11 @@ pub fn set_dnc_leaf(leaf: usize) {
     DNC_LEAF.store(leaf.max(2), Ordering::Relaxed);
 }
 
-/// Whether the divide-and-conquer engine (and with it the fused rank-1
-/// sweep schedule) is enabled (env `CA_DNC`, default on). Off restores
-/// the legacy halve-to-8 + generic-chase + QL finale byte for byte.
+/// Always `true`: divide-and-conquer is the only tridiagonal finale.
+/// Kept only because the benchmark's knob guard and replay read it; the
+/// next benchmark change drops it.
 pub fn dnc_enabled() -> bool {
-    if let Some(k) = KNOB_OVERRIDE.with(Cell::get) {
-        return k.dnc_enabled;
-    }
-    init();
-    DNC_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Toggle the divide-and-conquer engine for this process.
-pub fn set_dnc_enabled(on: bool) {
-    init();
-    DNC_ENABLED.store(on, Ordering::Relaxed);
+    true
 }
 
 /// True when the shared `CA_SERIAL` knob is truthy
@@ -216,23 +199,17 @@ mod tests {
         set_dnc_leaf(8);
         assert_eq!(dnc_leaf(), 8);
         set_dnc_leaf(l0);
-        let on = dnc_enabled();
-        set_dnc_enabled(!on);
-        assert_eq!(dnc_enabled(), !on);
-        set_dnc_enabled(on);
     }
 
     #[test]
     fn snapshot_override_pins_reads_and_restores() {
         let base = KnobSnapshot::capture();
         let pinned = KnobSnapshot {
-            dnc_enabled: !base.dnc_enabled,
             dnc_leaf: base.dnc_leaf + 11,
             halve_floor: base.halve_floor + 7,
-            serial: base.serial,
+            ..base
         };
         with_knobs(pinned, || {
-            assert_eq!(dnc_enabled(), pinned.dnc_enabled);
             assert_eq!(dnc_leaf(), pinned.dnc_leaf);
             assert_eq!(halve_floor(), pinned.halve_floor);
             // Capture inside the scope sees the override.
@@ -250,11 +227,11 @@ mod tests {
         let base = KnobSnapshot::capture();
         with_knobs(base, || {
             // A concurrent tenant (here: this thread, for determinism)
-            // flips the process-global knob mid-scope; the pinned scope
+            // moves the process-global knob mid-scope; the pinned scope
             // must keep seeing its snapshot.
-            set_dnc_enabled(!base.dnc_enabled);
-            assert_eq!(dnc_enabled(), base.dnc_enabled);
-            set_dnc_enabled(base.dnc_enabled);
+            set_dnc_leaf(base.dnc_leaf + 5);
+            assert_eq!(dnc_leaf(), base.dnc_leaf);
+            set_dnc_leaf(base.dnc_leaf);
         });
     }
 }

@@ -16,13 +16,12 @@
 //! *malformed*: a one-time warning goes to stderr and the knob keeps
 //! its default.
 //!
-//! Integer knobs (`CA_DNC`, `CA_DNC_LEAF`, `CA_HALVE_FLOOR`,
-//! `CA_TRACE`) parse as unsigned decimal integers; malformed values
-//! (`CA_DNC=fast`) likewise warn once on stderr and fall back to the
+//! Integer knobs (`CA_DNC_LEAF`, `CA_HALVE_FLOOR`, `CA_TRACE`) parse as
+//! unsigned decimal integers; malformed values (`CA_TRACE=fast`)
+//! likewise warn once on stderr and fall back to the
 //! default instead of being silently ignored.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 
 /// Parse a boolean knob value. `None` means unrecognized (malformed).
@@ -112,39 +111,11 @@ pub fn serial() -> bool {
     *SERIAL.get_or_init(|| bool_env("CA_SERIAL", false))
 }
 
-/// Runtime override state for `CA_LOOKAHEAD`: 0 = follow the env knob,
-/// 1 = forced on, 2 = forced off.
-static LOOKAHEAD_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// True when the `CA_LOOKAHEAD` knob is enabled (the default): the
-/// two-sided reduction drivers run on the dependency-driven task-graph
-/// executor (`ca_pla::dag`) with zero-copy task bodies and depth-1 panel
-/// lookahead instead of materializing every superstep at a barrier. Off
-/// restores the barrier path exactly. The env variable is consulted once
-/// on first read; [`set_lookahead_enabled`] overrides it at runtime
-/// (used by the benchmark drivers to run both legs in one process).
+/// Always `true`: the task-graph reduction engine this knob selected is
+/// gone. Kept only because the benchmark's knob guard and replay read
+/// it; the next benchmark change drops it.
 pub fn lookahead() -> bool {
-    match LOOKAHEAD_OVERRIDE.load(Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| bool_env("CA_LOOKAHEAD", true))
-        }
-    }
-}
-
-/// Force the `CA_LOOKAHEAD` knob on or off for the rest of the process,
-/// regardless of the environment. Benchmarks and equivalence tests use
-/// this to compare the task-graph and barrier paths in one run.
-pub fn set_lookahead_enabled(enabled: bool) {
-    LOOKAHEAD_OVERRIDE.store(if enabled { 1 } else { 2 }, Relaxed);
-}
-
-/// Drop any [`set_lookahead_enabled`] override and fall back to the
-/// cached `CA_LOOKAHEAD` environment value.
-pub fn reset_lookahead() {
-    LOOKAHEAD_OVERRIDE.store(0, Relaxed);
+    true
 }
 
 #[cfg(test)]
@@ -174,19 +145,6 @@ mod tests {
         assert_eq!(usize_env("CA_OBS_TEST_USIZE"), None);
         std::env::remove_var("CA_OBS_TEST_USIZE");
         assert_eq!(usize_env("CA_OBS_TEST_USIZE"), None);
-    }
-
-    #[test]
-    fn lookahead_override_wins_and_resets() {
-        // Whatever the env says, the runtime override must win, and
-        // resetting must fall back to a stable (cached) env value.
-        let base = lookahead();
-        set_lookahead_enabled(false);
-        assert!(!lookahead());
-        set_lookahead_enabled(true);
-        assert!(lookahead());
-        reset_lookahead();
-        assert_eq!(lookahead(), base);
     }
 
     #[test]

@@ -59,37 +59,9 @@ pub fn carma_spread(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize)
     let (mm, kk) = (a.rows(), a.cols());
     let (kk2, nn) = (b.rows(), b.cols());
     assert_eq!(kk, kk2, "carma: inner dimensions disagree");
-    if ca_obs::knobs::lookahead() {
-        // Lookahead mode routes every multiply through the zero-copy
-        // recursion — bitwise- and ledger-identical to the path below
-        // (`into_variant_is_bitwise_identical_with_matching_charges`),
-        // it just skips the per-split operand extraction copies.
-        let mut out = Matrix::zeros(mm, nn);
-        carma_spread_into(m, group, &a.view(), Trans::N, &b.view(), v, &mut out.view_mut());
-        return out;
-    }
-    let v = v.max(1).min(kk.max(1));
-    if v == 1 || kk < 2 * v {
-        return carma_rec(m, group, a, b);
-    }
-    // Serialize into v inner-dimension chunks (streaming): each chunk is
-    // a full recursive multiply; partial products accumulate in place.
-    let mut c = Matrix::zeros(mm, nn);
-    let bounds: Vec<usize> = (0..=v).map(|i| i * kk / v).collect();
-    let g = group.len() as u64;
-    for w in bounds.windows(2) {
-        if w[1] == w[0] {
-            continue;
-        }
-        let ac = a.block(0, w[0], mm, w[1] - w[0]);
-        let bc = b.block(w[0], 0, w[1] - w[0], nn);
-        let part = carma_rec(m, group, &ac, &bc);
-        c.axpy(1.0, &part);
-        for &pid in group.procs() {
-            m.charge_flops(pid, (mm * nn) as u64 / g);
-        }
-    }
-    c
+    let mut out = Matrix::zeros(mm, nn);
+    carma_spread_into(m, group, &a.view(), Trans::N, &b.view(), v, &mut out.view_mut());
+    out
 }
 
 /// Rows/cols of `op(A)` for a view operand.
@@ -122,10 +94,10 @@ fn op_sub<'a>(
 /// strided output view, with operands taken as (optionally transposed)
 /// views of their parent storage.
 ///
-/// Used by the task-graph (`CA_LOOKAHEAD`) path of the reduction
-/// drivers, which address aggregate panels in place instead of
-/// extracting blocks. The result and the ledger charges are **bitwise
-/// identical** to `carma_spread` on extracted copies:
+/// Callers can address operand panels in place instead of extracting
+/// blocks. The result and the ledger charges are **bitwise identical**
+/// to the copying recursion (kept as the test oracle) on extracted
+/// copies:
 ///
 /// * every split recurses on the same logical sub-shapes, so the charge
 ///   sequence (values *and* order) is unchanged;
@@ -183,8 +155,9 @@ pub fn carma_spread_into(
     }
 }
 
-/// The recursion behind [`carma_spread_into`] — mirrors [`carma_rec`]
-/// split-for-split with the output routed to disjoint sub-views.
+/// The recursion behind [`carma_spread_into`]: Lemma III.2's splits
+/// (rows, columns, or the inner dimension with a reduction), with the
+/// output routed to disjoint sub-views instead of copied blocks.
 fn carma_rec_into(
     m: &Machine,
     group: &Grid,
@@ -260,77 +233,6 @@ fn carma_rec_into(
     }
 }
 
-fn carma_rec(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix) -> Matrix {
-    let g = group.len();
-    if g == 1 {
-        return kern::local_matmul(m, group.proc(0), a, Trans::N, b, Trans::N);
-    }
-    let (mm, kk) = (a.rows(), a.cols());
-    let nn = b.cols();
-    let g1 = g / 2;
-    let halves = (group.prefix(g1), Grid::new_1d(group.procs()[g1..].to_vec()));
-    let gw = g as u64;
-
-    if mm >= kk && mm >= nn && mm >= 2 {
-        // Split rows of A (and C); B is replicated into both halves.
-        let cut = mm * g1 / g;
-        let a1 = a.block(0, 0, cut, kk);
-        let a2 = a.block(cut, 0, mm - cut, kk);
-        for &pid in group.procs() {
-            // Each processor's share of B doubles (A rows stay in place
-            // in the recursive layout).
-            m.charge_comm(pid, 2 * (kk * nn) as u64 / gw);
-            m.alloc(pid, (kk * nn) as u64 / gw);
-        }
-        m.step(group.procs(), 1);
-        let c1 = carma_rec(m, &halves.0, &a1, b);
-        let c2 = carma_rec(m, &halves.1, &a2, b);
-        for &pid in group.procs() {
-            m.free(pid, (kk * nn) as u64 / gw);
-        }
-        Matrix::vstack(&[&c1, &c2])
-    } else if nn >= kk && nn >= 2 {
-        // Split columns of B (and C); A is replicated into both halves.
-        let cut = nn * g1 / g;
-        let b1 = b.block(0, 0, kk, cut);
-        let b2 = b.block(0, cut, kk, nn - cut);
-        for &pid in group.procs() {
-            m.charge_comm(pid, 2 * (mm * kk) as u64 / gw);
-            m.alloc(pid, (mm * kk) as u64 / gw);
-        }
-        m.step(group.procs(), 1);
-        let c1 = carma_rec(m, &halves.0, a, &b1);
-        let c2 = carma_rec(m, &halves.1, a, &b2);
-        for &pid in group.procs() {
-            m.free(pid, (mm * kk) as u64 / gw);
-        }
-        let mut c = Matrix::zeros(mm, nn);
-        c.set_block(0, 0, &c1);
-        c.set_block(0, cut, &c2);
-        c
-    } else if kk >= 2 {
-        // Split the inner dimension: both halves compute a partial C,
-        // combined with a summed reduction over the full group.
-        let cut = kk * g1 / g;
-        let a1 = a.block(0, 0, mm, cut);
-        let a2 = a.block(0, cut, mm, kk - cut);
-        let b1 = b.block(0, 0, cut, nn);
-        let b2 = b.block(cut, 0, kk - cut, nn);
-        let c1 = carma_rec(m, &halves.0, &a1, &b1);
-        let mut c2 = carma_rec(m, &halves.1, &a2, &b2);
-        for &pid in group.procs() {
-            m.charge_comm(pid, 2 * (mm * nn) as u64 / gw);
-            m.charge_flops(pid, (mm * nn) as u64 / gw);
-        }
-        m.step(group.procs(), 1);
-        c2.axpy(1.0, &c1);
-        c2
-    } else {
-        // Degenerate tiny dimensions: compute on rank 0.
-        kern::local_matmul(m, group.proc(0), a, Trans::N, b, Trans::N)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,6 +244,107 @@ mod tests {
 
     fn machine(p: usize) -> Machine {
         Machine::new(MachineParams::new(p))
+    }
+
+    /// The copying recursion [`carma_spread_into`] replaced: every split
+    /// extracts its operand blocks. Kept as the bitwise and ledger
+    /// oracle for the zero-copy path.
+    fn carma_spread_copy(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize) -> Matrix {
+        let (mm, kk) = (a.rows(), a.cols());
+        let nn = b.cols();
+        let v = v.max(1).min(kk.max(1));
+        if v == 1 || kk < 2 * v {
+            return carma_rec(m, group, a, b);
+        }
+        // Serialize into v inner-dimension chunks (streaming): each chunk is
+        // a full recursive multiply; partial products accumulate in place.
+        let mut c = Matrix::zeros(mm, nn);
+        let bounds: Vec<usize> = (0..=v).map(|i| i * kk / v).collect();
+        let g = group.len() as u64;
+        for w in bounds.windows(2) {
+            if w[1] == w[0] {
+                continue;
+            }
+            let ac = a.block(0, w[0], mm, w[1] - w[0]);
+            let bc = b.block(w[0], 0, w[1] - w[0], nn);
+            let part = carma_rec(m, group, &ac, &bc);
+            c.axpy(1.0, &part);
+            for &pid in group.procs() {
+                m.charge_flops(pid, (mm * nn) as u64 / g);
+            }
+        }
+        c
+    }
+
+    fn carma_rec(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix) -> Matrix {
+        let g = group.len();
+        if g == 1 {
+            return kern::local_matmul(m, group.proc(0), a, Trans::N, b, Trans::N);
+        }
+        let (mm, kk) = (a.rows(), a.cols());
+        let nn = b.cols();
+        let g1 = g / 2;
+        let halves = (group.prefix(g1), Grid::new_1d(group.procs()[g1..].to_vec()));
+        let gw = g as u64;
+
+        if mm >= kk && mm >= nn && mm >= 2 {
+            // Split rows of A (and C); B is replicated into both halves.
+            let cut = mm * g1 / g;
+            let a1 = a.block(0, 0, cut, kk);
+            let a2 = a.block(cut, 0, mm - cut, kk);
+            for &pid in group.procs() {
+                // Each processor's share of B doubles (A rows stay in place
+                // in the recursive layout).
+                m.charge_comm(pid, 2 * (kk * nn) as u64 / gw);
+                m.alloc(pid, (kk * nn) as u64 / gw);
+            }
+            m.step(group.procs(), 1);
+            let c1 = carma_rec(m, &halves.0, &a1, b);
+            let c2 = carma_rec(m, &halves.1, &a2, b);
+            for &pid in group.procs() {
+                m.free(pid, (kk * nn) as u64 / gw);
+            }
+            Matrix::vstack(&[&c1, &c2])
+        } else if nn >= kk && nn >= 2 {
+            // Split columns of B (and C); A is replicated into both halves.
+            let cut = nn * g1 / g;
+            let b1 = b.block(0, 0, kk, cut);
+            let b2 = b.block(0, cut, kk, nn - cut);
+            for &pid in group.procs() {
+                m.charge_comm(pid, 2 * (mm * kk) as u64 / gw);
+                m.alloc(pid, (mm * kk) as u64 / gw);
+            }
+            m.step(group.procs(), 1);
+            let c1 = carma_rec(m, &halves.0, a, &b1);
+            let c2 = carma_rec(m, &halves.1, a, &b2);
+            for &pid in group.procs() {
+                m.free(pid, (mm * kk) as u64 / gw);
+            }
+            let mut c = Matrix::zeros(mm, nn);
+            c.set_block(0, 0, &c1);
+            c.set_block(0, cut, &c2);
+            c
+        } else if kk >= 2 {
+            // Split the inner dimension: both halves compute a partial C,
+            // combined with a summed reduction over the full group.
+            let cut = kk * g1 / g;
+            let a1 = a.block(0, 0, mm, cut);
+            let a2 = a.block(0, cut, mm, kk - cut);
+            let b1 = b.block(0, 0, cut, nn);
+            let b2 = b.block(cut, 0, kk - cut, nn);
+            let c1 = carma_rec(m, &halves.0, &a1, &b1);
+            let mut c2 = carma_rec(m, &halves.1, &a2, &b2);
+            for &pid in group.procs() {
+                m.charge_comm(pid, 2 * (mm * nn) as u64 / gw);
+                m.charge_flops(pid, (mm * nn) as u64 / gw);
+            }
+            m.step(group.procs(), 1);
+            c2.axpy(1.0, &c1);
+            c2
+        } else {
+            // Degenerate tiny dimensions: compute on rank 0.
+            kern::local_matmul(m, group.proc(0), a, Trans::N, b, Trans::N)
+        }
     }
 
     fn check(mm: usize, kk: usize, nn: usize, g: usize, v: usize, seed: u64) {
@@ -385,7 +388,6 @@ mod tests {
         // same f64 bits in the product (written into an offset region of
         // a larger buffer) and the same folded ledger, for both operand
         // orientations and with v-chunking active.
-        let _knob = crate::test_knob::barrier_guard();
         for (mm, kk, nn, g, v, ta, seed) in [
             (24usize, 32usize, 16usize, 4usize, 1usize, Trans::N, 310u64),
             (24, 32, 16, 4, 4, Trans::N, 311),
@@ -408,7 +410,7 @@ mod tests {
                 Trans::N => a.block(0, 0, mm, kk),
                 Trans::T => a.transpose(),
             };
-            let want = carma_spread(&m1, &grid, &a_op, &b, v);
+            let want = carma_spread_copy(&m1, &grid, &a_op, &b, v);
             m1.fence();
 
             let m2 = machine(g);

@@ -64,7 +64,7 @@ pub fn local_matmul(
 /// (`beta = 0`). Charges are the same shape-derived formulas as
 /// [`local_matmul`], and because the GEMM entry pre-scales the output
 /// before accumulating, the stored bits equal a fresh-matrix product
-/// copied into place — the zero-copy leaf of the task-graph path.
+/// copied into place — the zero-copy leaf of [`crate::carma::carma_spread_into`].
 pub fn local_matmul_into(
     m: &Machine,
     j: ProcId,

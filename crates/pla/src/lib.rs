@@ -37,7 +37,6 @@ pub mod alpha_beta;
 pub mod carma;
 pub mod coll;
 pub mod cyclic;
-pub mod dag;
 pub mod dist;
 pub mod exec;
 pub mod grid;
@@ -53,29 +52,3 @@ pub mod tsqr;
 
 pub use dist::DistMatrix;
 pub use grid::Grid;
-
-/// Serializes tests that toggle the process-global lookahead knob
-/// (`ca_obs::knobs::set_lookahead_enabled`), so a concurrently running
-/// equivalence test cannot observe a half-toggled state. Safe either
-/// way for every *other* test: both knob settings compute bit-identical
-/// results.
-#[cfg(test)]
-pub(crate) mod test_knob {
-    use std::sync::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    /// Take the knob lock and force the barrier (copy) path; the guard
-    /// restores the default on drop.
-    pub fn barrier_guard() -> impl Drop {
-        struct Guard(#[allow(dead_code)] MutexGuard<'static, ()>);
-        impl Drop for Guard {
-            fn drop(&mut self) {
-                ca_obs::knobs::reset_lookahead();
-            }
-        }
-        let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        ca_obs::knobs::set_lookahead_enabled(false);
-        Guard(g)
-    }
-}

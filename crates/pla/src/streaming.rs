@@ -19,7 +19,7 @@ use crate::dist::DistMatrix;
 use crate::exec;
 use crate::grid::Grid;
 use ca_bsp::Machine;
-use ca_dla::gemm::{gemm, gemm_view, Trans};
+use ca_dla::gemm::{gemm_view, Trans};
 use ca_dla::view::{MatrixView, MatrixViewMut};
 use ca_dla::Matrix;
 
@@ -115,147 +115,30 @@ pub fn streaming_mm_dense(
     b: &Matrix,
     w: usize,
 ) -> Matrix {
-    let (r0, c0, nr, nc) = sub;
-    let (q0, q1, c) = grid3.shape();
-    assert_eq!(q0, q1, "streaming_mm expects a square per-layer grid");
-    let q = q0;
+    let (_, _, nr, nc) = sub;
     let (inner, out_rows) = if transpose_a { (nr, nc) } else { (nc, nr) };
     assert_eq!(b.rows(), inner, "streaming_mm: inner dimension mismatch");
-    let k = b.cols();
-    if ca_obs::knobs::lookahead() {
-        // Lookahead mode routes through the zero-copy sweep — bitwise-
-        // and ledger-identical to the path below (see
-        // `view_into_variant_is_bitwise_identical_with_matching_charges`),
-        // it just reads the resident/streamed blocks as sub-views.
-        let mut out = Matrix::zeros(out_rows, k);
-        streaming_mm_view_into(
-            m,
-            grid3,
-            &a_dense.view(),
-            sub,
-            transpose_a,
-            &b.view(),
-            false,
-            w,
-            &mut out.view_mut(),
-        );
-        return out;
-    }
-    let w = w.max(1);
-    let z = w * c;
-
-    // Redistribute B (charged from any balanced layout).
-    let total_b = (inner * k) as u64;
-    for &pid in grid3.procs() {
-        m.charge_comm(pid, 2 * total_b / grid3.len() as u64);
-    }
-    m.step(grid3.procs(), 1);
-
-    // Split the inner dimension by the layer grid's owner blocks of A
-    // and the k dimension into z column blocks.
-    let inner_splits = crate::dist::splits(inner, q);
-    let k_splits = crate::dist::splits(k, z);
-
-    let mut out = Matrix::zeros(out_rows, k);
-    let out_splits = crate::dist::splits(out_rows, q);
-    let h_cache = m.cache_words();
-
-    for l in 0..c {
-        // Layer l handles column blocks h ∈ {l, l+c, …, l+(w−1)c}.
-        for step in 0..w {
-            let h = l + step * c;
-            if h >= z || k_splits[h] == k_splits[h + 1] {
-                continue;
-            }
-            let (k0, k1) = (k_splits[h], k_splits[h + 1]);
-            let kb = k1 - k0;
-            for jdim in 0..q {
-                let (j0, j1) = (inner_splits[jdim], inner_splits[jdim + 1]);
-                if j0 == j1 {
-                    continue;
-                }
-                let b_jh = b.block(j0, k0, j1 - j0, kb);
-                // Gather B_jh along the row dimension of the layer grid.
-                let gather_group = if transpose_a {
-                    grid3.dim1_group(jdim, l)
-                } else {
-                    grid3.dim0_group(jdim, l)
-                };
-                coll::allgather(m, &gather_group, b_jh.len() as u64 / q as u64);
-
-                // Each idim produces a disjoint output row range
-                // [i0, i1): run the charged multiplies concurrently and
-                // accumulate the partial products in rank order.
-                let b_jh = &b_jh;
-                let parts = exec::par_ranks(q, |idim| {
-                    let (i0, i1) = (out_splits[idim], out_splits[idim + 1]);
-                    if i0 == i1 {
-                        return None;
-                    }
-                    // The resident A block for this (i, j): rows/cols of
-                    // the submatrix.
-                    let (ar, ac, anr, anc) = if transpose_a {
-                        (r0 + j0, c0 + i0, j1 - j0, i1 - i0)
-                    } else {
-                        (r0 + i0, c0 + j0, i1 - i0, j1 - j0)
-                    };
-                    let a_blk = a_dense.block(ar, ac, anr, anc);
-                    let pid = grid3.at(
-                        if transpose_a { jdim } else { idim },
-                        if transpose_a { idim } else { jdim },
-                        l,
-                    );
-                    let ta = if transpose_a { Trans::T } else { Trans::N };
-                    // Charged local multiply with Lemma III.3 vertical
-                    // accounting: A resident in cache across iterations
-                    // when it fits.
-                    let flops = 2 * (i1 - i0) as u64 * (j1 - j0) as u64 * kb as u64;
-                    m.charge_flops(pid, flops);
-                    let a_words = a_blk.len() as u64;
-                    let bc_words = (b_jh.len() + (i1 - i0) * kb) as u64;
-                    let vert = if a_words <= h_cache && step > 0 {
-                        bc_words
-                    } else {
-                        bc_words + a_words
-                    };
-                    m.charge_vert(pid, vert);
-                    let mut part = Matrix::zeros(i1 - i0, kb);
-                    gemm(1.0, &a_blk, ta, b_jh, Trans::N, 0.0, &mut part);
-                    Some((i0, part))
-                });
-                // The reduce-scatter below performs the Σⱼ numerically
-                // represented by this serial in-order accumulation.
-                for (i0, part) in parts.into_iter().flatten() {
-                    for rr in 0..part.rows() {
-                        for cc in 0..part.cols() {
-                            out.add_to(i0 + rr, k0 + cc, part.get(rr, cc));
-                        }
-                    }
-                }
-            }
-            // Reduce-scatter C_ih = Σ_j C̄_ijh along the other dimension.
-            for idim in 0..q {
-                let group = if transpose_a {
-                    grid3.dim0_group(idim, l)
-                } else {
-                    grid3.dim1_group(idim, l)
-                };
-                let ci_words = ((out_splits[idim + 1] - out_splits[idim]) * kb) as u64;
-                coll::reduce_scatter(m, &group, ci_words);
-            }
-            m.step(grid3.procs(), 1);
-        }
-    }
+    let mut out = Matrix::zeros(out_rows, b.cols());
+    streaming_mm_view_into(
+        m,
+        grid3,
+        &a_dense.view(),
+        sub,
+        transpose_a,
+        &b.view(),
+        false,
+        w,
+        &mut out.view_mut(),
+    );
     out
 }
 
 /// Zero-copy [`streaming_mm_dense`]: operands as views, the product
 /// written (overwritten) into a strided output view.
 ///
-/// The task-graph (`CA_LOOKAHEAD`) path of the reduction drivers uses
-/// this to stream trailing updates straight out of the replicated
-/// operand and straight into pre-allocated aggregate storage. Results
-/// and ledger are **bitwise identical** to the copy path: the per-rank
+/// Streams straight out of the replicated operand into the caller's
+/// storage. Results and ledger are **bitwise identical** to the
+/// copying sweep kept as the test oracle: the per-rank
 /// resident blocks `A_ij` and streamed blocks `B_jh` become sub-views
 /// instead of extracted copies (same per-cell values, same GEMM kernel
 /// decision shapes), each rank's partial product still lands in a fresh
@@ -417,7 +300,7 @@ pub fn replicate_from_layer0(m: &Machine, grid3: &Grid, layer: DistMatrix) -> Re
 mod tests {
     use super::*;
     use ca_bsp::MachineParams;
-    use ca_dla::gemm::matmul;
+    use ca_dla::gemm::{gemm, matmul};
     use ca_dla::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -477,9 +360,135 @@ mod tests {
         assert!(cmat.max_diff(&want) < 1e-11);
     }
 
+    /// The copying sweep [`streaming_mm_view_into`] replaced: resident
+    /// and streamed blocks are extracted copies. Kept as the bitwise and
+    /// ledger oracle for the zero-copy path.
+    fn streaming_mm_dense_copy(
+        m: &Machine,
+        grid3: &Grid,
+        a_dense: &Matrix,
+        sub: (usize, usize, usize, usize),
+        transpose_a: bool,
+        b: &Matrix,
+        w: usize,
+    ) -> Matrix {
+        let (r0, c0, nr, nc) = sub;
+        let (q0, q1, c) = grid3.shape();
+        assert_eq!(q0, q1, "streaming_mm expects a square per-layer grid");
+        let q = q0;
+        let (inner, out_rows) = if transpose_a { (nr, nc) } else { (nc, nr) };
+        assert_eq!(b.rows(), inner, "streaming_mm: inner dimension mismatch");
+        let k = b.cols();
+        let w = w.max(1);
+        let z = w * c;
+
+        // Redistribute B (charged from any balanced layout).
+        let total_b = (inner * k) as u64;
+        for &pid in grid3.procs() {
+            m.charge_comm(pid, 2 * total_b / grid3.len() as u64);
+        }
+        m.step(grid3.procs(), 1);
+
+        // Split the inner dimension by the layer grid's owner blocks of A
+        // and the k dimension into z column blocks.
+        let inner_splits = crate::dist::splits(inner, q);
+        let k_splits = crate::dist::splits(k, z);
+
+        let mut out = Matrix::zeros(out_rows, k);
+        let out_splits = crate::dist::splits(out_rows, q);
+        let h_cache = m.cache_words();
+
+        for l in 0..c {
+            // Layer l handles column blocks h ∈ {l, l+c, …, l+(w−1)c}.
+            for step in 0..w {
+                let h = l + step * c;
+                if h >= z || k_splits[h] == k_splits[h + 1] {
+                    continue;
+                }
+                let (k0, k1) = (k_splits[h], k_splits[h + 1]);
+                let kb = k1 - k0;
+                for jdim in 0..q {
+                    let (j0, j1) = (inner_splits[jdim], inner_splits[jdim + 1]);
+                    if j0 == j1 {
+                        continue;
+                    }
+                    let b_jh = b.block(j0, k0, j1 - j0, kb);
+                    // Gather B_jh along the row dimension of the layer grid.
+                    let gather_group = if transpose_a {
+                        grid3.dim1_group(jdim, l)
+                    } else {
+                        grid3.dim0_group(jdim, l)
+                    };
+                    coll::allgather(m, &gather_group, b_jh.len() as u64 / q as u64);
+
+                    // Each idim produces a disjoint output row range
+                    // [i0, i1): run the charged multiplies concurrently and
+                    // accumulate the partial products in rank order.
+                    let b_jh = &b_jh;
+                    let parts = exec::par_ranks(q, |idim| {
+                        let (i0, i1) = (out_splits[idim], out_splits[idim + 1]);
+                        if i0 == i1 {
+                            return None;
+                        }
+                        // The resident A block for this (i, j): rows/cols of
+                        // the submatrix.
+                        let (ar, ac, anr, anc) = if transpose_a {
+                            (r0 + j0, c0 + i0, j1 - j0, i1 - i0)
+                        } else {
+                            (r0 + i0, c0 + j0, i1 - i0, j1 - j0)
+                        };
+                        let a_blk = a_dense.block(ar, ac, anr, anc);
+                        let pid = grid3.at(
+                            if transpose_a { jdim } else { idim },
+                            if transpose_a { idim } else { jdim },
+                            l,
+                        );
+                        let ta = if transpose_a { Trans::T } else { Trans::N };
+                        // Charged local multiply with Lemma III.3 vertical
+                        // accounting: A resident in cache across iterations
+                        // when it fits.
+                        let flops = 2 * (i1 - i0) as u64 * (j1 - j0) as u64 * kb as u64;
+                        m.charge_flops(pid, flops);
+                        let a_words = a_blk.len() as u64;
+                        let bc_words = (b_jh.len() + (i1 - i0) * kb) as u64;
+                        let vert = if a_words <= h_cache && step > 0 {
+                            bc_words
+                        } else {
+                            bc_words + a_words
+                        };
+                        m.charge_vert(pid, vert);
+                        let mut part = Matrix::zeros(i1 - i0, kb);
+                        gemm(1.0, &a_blk, ta, b_jh, Trans::N, 0.0, &mut part);
+                        Some((i0, part))
+                    });
+                    // The reduce-scatter below performs the Σⱼ numerically
+                    // represented by this serial in-order accumulation.
+                    for (i0, part) in parts.into_iter().flatten() {
+                        for rr in 0..part.rows() {
+                            for cc in 0..part.cols() {
+                                out.add_to(i0 + rr, k0 + cc, part.get(rr, cc));
+                            }
+                        }
+                    }
+                }
+                // Reduce-scatter C_ih = Σ_j C̄_ijh along the other dimension.
+                for idim in 0..q {
+                    let group = if transpose_a {
+                        grid3.dim0_group(idim, l)
+                    } else {
+                        grid3.dim1_group(idim, l)
+                    };
+                    let ci_words = ((out_splits[idim + 1] - out_splits[idim]) * kb) as u64;
+                    coll::reduce_scatter(m, &group, ci_words);
+                }
+                m.step(grid3.procs(), 1);
+            }
+        }
+        out
+    }
+
     #[test]
     fn view_into_variant_is_bitwise_identical_with_matching_charges() {
-        let _knob = crate::test_knob::barrier_guard();
         for (q, c, w, sub, transpose_a, transpose_b, k, seed) in [
             (2usize, 1usize, 1usize, (0usize, 0usize, 12usize, 12usize), false, false, 6usize, 400u64),
             (2, 2, 2, (4, 6, 12, 10), false, false, 4, 401),
@@ -501,7 +510,7 @@ mod tests {
             let b_stored = if transpose_b { b.transpose() } else { b.clone() };
 
             let m1 = machine(p);
-            let want = streaming_mm_dense(&m1, &g, &a, sub, transpose_a, &b, w);
+            let want = streaming_mm_dense_copy(&m1, &g, &a, sub, transpose_a, &b, w);
             m1.fence();
 
             let m2 = machine(p);

@@ -4,8 +4,8 @@
 //! invocation. This crate turns it into a reusable serving substrate:
 //! an [`EigenService`] owns a shared pool of worker threads, accepts
 //! many independent [`SymmEigenJob`]s (values-only or with vectors,
-//! heterogeneous `n`, per-job engine choice), applies admission control
-//! over a bounded queue, cancels jobs whose scheduling deadline passes
+//! heterogeneous `n`), applies admission control over a bounded queue,
+//! cancels jobs whose scheduling deadline passes
 //! ([`EigenError::Deadline`]), and **coalesces** small problems (below
 //! the `CA_BATCH_FLOOR` knob) into batched leaf solves that amortize
 //! per-solve overheads across a batch — the amortization the paper's
@@ -40,6 +40,16 @@
 //! concurrency stress suite (`tests/service_stress.rs`) enforce this
 //! end to end.
 //!
+//! ## Failure containment
+//!
+//! A panic inside a solve — including one raised on a `rayon` pool
+//! worker during the solve's fan-out, which the pool resumes on the
+//! calling service worker — is caught around [`solve_job`] and
+//! reported as [`EigenError::Internal`]; the service worker keeps
+//! serving. Every ticket is fulfilled exactly once, and a ticket whose
+//! job is dropped unfinished resolves to [`EigenError::Internal`]
+//! rather than blocking [`JobTicket::wait`] forever.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -65,10 +75,12 @@ pub use config::ServiceConfig;
 pub use stats::StatsSnapshot;
 
 pub use ca_dla::tune::KnobSnapshot;
-pub use ca_eigen::{solve_job, Engine, EigenError, JobResult, SymmEigenJob};
+pub use ca_eigen::{solve_job, EigenError, JobResult, SymmEigenJob};
 
 use stats::ServiceStats;
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -76,10 +88,14 @@ use std::time::Instant;
 /// One entry waiting in the admission queue.
 struct QueuedJob {
     job: SymmEigenJob,
-    slot: Arc<Slot>,
+    slot: Completion,
     id: u64,
     submitted: Instant,
 }
+
+/// How a job is executed: [`solve_job`] outside of unit tests, which
+/// swap in a failing solver to exercise panic containment.
+type SolveFn = fn(&SymmEigenJob, KnobSnapshot) -> Result<JobResult, EigenError>;
 
 /// The rendezvous cell a [`JobTicket`] waits on.
 #[derive(Debug)]
@@ -100,6 +116,30 @@ impl Slot {
     }
 }
 
+/// The service's end of a ticket. Fulfils its slot exactly once: with
+/// the job's outcome via [`Completion::complete`], or — when dropped
+/// unfulfilled — with [`EigenError::Internal`], so no ticket can wait
+/// forever on a job that was lost.
+struct Completion(Option<Arc<Slot>>);
+
+impl Completion {
+    fn complete(mut self, res: Result<JobResult, EigenError>) {
+        if let Some(slot) = self.0.take() {
+            slot.fulfill(res);
+        }
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.fulfill(Err(EigenError::Internal {
+                message: "job dropped before it completed".into(),
+            }));
+        }
+    }
+}
+
 /// Mutable scheduler state behind the service mutex.
 struct State {
     queue: VecDeque<QueuedJob>,
@@ -116,6 +156,7 @@ struct Shared {
     config: ServiceConfig,
     knobs: KnobSnapshot,
     stats: ServiceStats,
+    solve: SolveFn,
 }
 
 /// Claim ticket for a submitted job; redeem with [`JobTicket::wait`].
@@ -170,8 +211,8 @@ pub struct EigenService {
 }
 
 impl EigenService {
-    /// A service with the given configuration, snapshotting the engine
-    /// knobs (`CA_DNC`, `CA_DNC_LEAF`, `CA_HALVE_FLOOR`, `CA_SERIAL`)
+    /// A service with the given configuration, snapshotting the schedule
+    /// knobs (`CA_DNC_LEAF`, `CA_HALVE_FLOOR`, `CA_SERIAL`)
     /// **once, now**: every job this instance ever runs executes under
     /// this frozen configuration, no matter what the process globals do
     /// later.
@@ -183,6 +224,10 @@ impl EigenService {
     /// multi-tenant entry point (two tenants can run different frozen
     /// configurations side by side in one process).
     pub fn with_knobs(config: ServiceConfig, knobs: KnobSnapshot) -> Self {
+        Self::start(config, knobs, solve_job)
+    }
+
+    fn start(config: ServiceConfig, knobs: KnobSnapshot, solve: SolveFn) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -193,6 +238,7 @@ impl EigenService {
             config,
             knobs,
             stats: ServiceStats::default(),
+            solve,
         });
         let workers = (0..shared.config.effective_workers())
             .map(|i| {
@@ -240,7 +286,7 @@ impl EigenService {
             }
             st.queue.push_back(QueuedJob {
                 job,
-                slot: Arc::clone(&slot),
+                slot: Completion(Some(Arc::clone(&slot))),
                 id,
                 submitted,
             });
@@ -410,19 +456,32 @@ fn run_one(shared: &Shared, q: QueuedJob) {
         }
         _ => {
             let _span = ca_obs::span(&format!(
-                "service.job id={} n={} {}{}",
+                "service.job id={} n={}{}",
                 q.id,
                 q.job.n(),
-                q.job.engine.name(),
                 if q.job.want_vectors { " +v" } else { "" }
             ));
             let t0 = Instant::now();
-            let r = solve_job(&q.job, shared.knobs);
+            let solve = AssertUnwindSafe(|| (shared.solve)(&q.job, shared.knobs));
+            let r = std::panic::catch_unwind(solve).unwrap_or_else(|payload| {
+                Err(EigenError::Internal { message: panic_message(payload.as_ref()) })
+            });
             shared.stats.record_solve(t0.elapsed(), r.is_ok());
             r
         }
     };
-    q.slot.fulfill(res);
+    q.slot.complete(res);
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with a non-string payload".into()
+    }
 }
 
 #[cfg(test)]
@@ -591,6 +650,61 @@ mod tests {
         }
         // Reopen so Drop's join sees a consistent (already closed)
         // state; Drop re-closes idempotently.
+    }
+
+    /// Panics for `n = 13`, inside a parallel fan-out so the panic
+    /// crosses a `rayon` pool worker first; solves everything else.
+    fn panicking_solve(job: &SymmEigenJob, knobs: KnobSnapshot) -> Result<JobResult, EigenError> {
+        if job.n() == 13 {
+            use rayon::prelude::*;
+            (0..4).into_par_iter().for_each(|r| {
+                if r == 3 {
+                    panic!("injected fault in rank {r}");
+                }
+            });
+        }
+        solve_job(job, knobs)
+    }
+
+    #[test]
+    fn solve_panic_is_a_typed_error_and_the_worker_survives() {
+        let config = ServiceConfig {
+            workers: 2,
+            queue_capacity: 16,
+            batch_floor: 0,
+            ..ServiceConfig::default()
+        };
+        let service = EigenService::start(config, KnobSnapshot::capture(), panicking_solve);
+        let tickets: Vec<_> = [12usize, 13, 14, 13, 15]
+            .into_iter()
+            .map(|n| service.submit(job(n, n as u64).0).unwrap())
+            .collect();
+        for (t, n) in tickets.into_iter().zip([12usize, 13, 14, 13, 15]) {
+            match (n, t.wait()) {
+                (13, Err(EigenError::Internal { message })) => {
+                    assert!(message.contains("injected fault in rank 3"), "{message:?}");
+                }
+                (13, other) => panic!("expected Internal, got {other:?}"),
+                (_, r) => assert_eq!(r.expect("healthy job").eigenvalues.len(), n),
+            }
+        }
+        // Both workers are still alive and serving.
+        assert!(service.workers.iter().all(|w| !w.is_finished()));
+        assert_eq!(service.workers.len(), 2);
+        let after: Vec<_> = (0..4).map(|i| service.submit(job(20 + i, i as u64).0).unwrap()).collect();
+        for t in after {
+            assert!(t.wait().is_ok());
+        }
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.failed), (7, 2));
+    }
+
+    #[test]
+    fn dropped_job_fulfils_its_ticket() {
+        let slot = Slot::new();
+        let ticket = JobTicket { slot: Arc::clone(&slot), id: 0, submitted: Instant::now() };
+        drop(Completion(Some(slot)));
+        assert!(matches!(ticket.wait(), Err(EigenError::Internal { .. })));
     }
 
     #[test]

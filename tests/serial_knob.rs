@@ -14,13 +14,14 @@
 //!   bit-identical to the parallel run (serial ↔ parallel equivalence
 //!   is the repo's documented invariant);
 //! * falsy and unset leave both parallel;
-//! * malformed values (`CA_SERIAL=banana`, `CA_DNC=fast`,
+//! * malformed values (`CA_SERIAL=banana`, `CA_DNC_LEAF=fast`,
 //!   `CA_TRACE=fast`) warn once on stderr naming the knob, instead of
 //!   being silently ignored;
 //! * the service pins a knob snapshot at construction: a global
-//!   `set_dnc_enabled` flip while jobs sit queued changes neither the
-//!   engine they run under nor a single output bit (the per-solve
-//!   knob-read footgun, regression-tested in its own subprocess).
+//!   `set_dnc_leaf`/`set_halve_floor` change while jobs sit queued
+//!   changes neither the schedule they run under nor a single output
+//!   bit (the per-solve knob-read footgun, regression-tested in its own
+//!   subprocess).
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
@@ -65,11 +66,10 @@ fn solve_hash() -> u64 {
 #[ignore = "subprocess payload for the CA_SERIAL driver tests"]
 fn inner_emit_hash() {
     println!(
-        "HASH={:016x} SERIAL_EXEC={} SERIAL_DNC={} LOOKAHEAD={}",
+        "HASH={:016x} SERIAL_EXEC={} SERIAL_DNC={}",
         solve_hash(),
         ca_symm_eig::pla::exec::serial_forced(),
         ca_symm_eig::dla::tune::serial(),
-        ca_symm_eig::obs::knobs::lookahead()
     );
 }
 
@@ -77,7 +77,6 @@ struct Probe {
     hash: String,
     serial_exec: bool,
     serial_dnc: bool,
-    lookahead: bool,
     stderr: String,
 }
 
@@ -87,9 +86,9 @@ fn probe(env: &[(&str, &str)]) -> Probe {
     let mut cmd = Command::new(exe);
     cmd.args(["--ignored", "--exact", "inner_emit_hash", "--nocapture"])
         .env_remove("CA_SERIAL")
-        .env_remove("CA_DNC")
-        .env_remove("CA_TRACE")
-        .env_remove("CA_LOOKAHEAD");
+        .env_remove("CA_DNC_LEAF")
+        .env_remove("CA_HALVE_FLOOR")
+        .env_remove("CA_TRACE");
     for (k, v) in env {
         cmd.env(k, v);
     }
@@ -116,7 +115,6 @@ fn probe(env: &[(&str, &str)]) -> Probe {
         hash: field("HASH"),
         serial_exec: field("SERIAL_EXEC") == "true",
         serial_dnc: field("SERIAL_DNC") == "true",
-        lookahead: field("LOOKAHEAD") == "true",
         stderr,
     }
 }
@@ -124,9 +122,9 @@ fn probe(env: &[(&str, &str)]) -> Probe {
 /// Subprocess payload for [`service_snapshot_survives_global_knob_flip`]:
 /// in a clean process, a service's construction-time [`KnobSnapshot`]
 /// must govern every queued job even after the process-global knob is
-/// flipped out from under it. Before PR 9 each solve re-read `CA_DNC`
-/// at dispatch time, so a flip mid-queue could split one batch across
-/// two engine configurations.
+/// changed out from under it. Without the snapshot each solve would
+/// re-read the schedule knobs at dispatch time, so a change mid-queue
+/// could split one batch across two configurations.
 ///
 /// [`KnobSnapshot`]: ca_symm_eig::dla::tune::KnobSnapshot
 #[test]
@@ -173,20 +171,22 @@ fn inner_service_snapshot_pins_knobs() {
         .map(|j| service.submit(j.clone()).expect("admit"))
         .collect();
 
-    // The footgun this pins: a global engine flip while jobs sit queued.
-    tune::set_dnc_enabled(!knobs.dnc_enabled);
+    // The footgun this pins: a global schedule change while jobs sit
+    // queued (a deeper D&C recursion and forced band halvings).
+    tune::set_dnc_leaf(8);
+    tune::set_halve_floor(2);
     assert_ne!(
-        tune::dnc_enabled(),
-        knobs.dnc_enabled,
-        "the global flip must be visible outside the service"
+        tune::KnobSnapshot::capture(),
+        knobs,
+        "the global change must be visible outside the service"
     );
     service.resume();
 
     for (t, want) in tickets.into_iter().zip(&solo) {
         let r = t.wait().expect("queued job");
         assert_eq!(
-            r.knobs.dnc_enabled, knobs.dnc_enabled,
-            "job ran under the flipped global, not the service snapshot"
+            r.knobs, knobs,
+            "job ran under the changed global, not the service snapshot"
         );
         assert_eq!(
             result_hash(&r),
@@ -209,7 +209,8 @@ fn service_snapshot_survives_global_knob_flip() {
             "inner_service_snapshot_pins_knobs",
             "--nocapture",
         ])
-        .env_remove("CA_DNC")
+        .env_remove("CA_DNC_LEAF")
+        .env_remove("CA_HALVE_FLOOR")
         .output()
         .expect("spawn test subprocess");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -255,33 +256,6 @@ fn falsy_and_unset_stay_parallel_in_both_subsystems() {
 }
 
 #[test]
-fn serial_knob_composes_with_lookahead_bit_identically() {
-    // The 2×2 of {CA_SERIAL} × {CA_LOOKAHEAD}: the task-graph executor
-    // under forced-serial dispatch must still match the parallel
-    // barrier path bit for bit — the DAG path may not smuggle in a
-    // scheduling dependence that only CA_SERIAL=1 exposes.
-    let reference = format!("{:016x}", solve_hash());
-    for (serial, lookahead) in [("true", "on"), ("true", "off"), ("0", "on"), ("0", "off")] {
-        let p = probe(&[("CA_SERIAL", serial), ("CA_LOOKAHEAD", lookahead)]);
-        assert_eq!(
-            p.lookahead,
-            lookahead == "on",
-            "CA_LOOKAHEAD={lookahead} did not reach the knob cache"
-        );
-        assert_eq!(
-            p.serial_exec,
-            serial == "true",
-            "CA_SERIAL={serial} did not reach the executor"
-        );
-        assert_eq!(
-            p.hash, reference,
-            "CA_SERIAL={serial} CA_LOOKAHEAD={lookahead}: output bits diverged \
-             from the in-process default run"
-        );
-    }
-}
-
-#[test]
 fn malformed_knobs_warn_on_stderr_and_fall_back() {
     let p = probe(&[("CA_SERIAL", "banana")]);
     assert!(
@@ -294,7 +268,7 @@ fn malformed_knobs_warn_on_stderr_and_fall_back() {
         p.stderr
     );
 
-    for knob in ["CA_DNC", "CA_TRACE"] {
+    for knob in ["CA_DNC_LEAF", "CA_TRACE"] {
         let p = probe(&[(knob, "fast")]);
         assert!(
             p.stderr.contains(knob),

@@ -4,9 +4,8 @@
 //! The service's determinism claim (DESIGN.md §6f) is that scheduling —
 //! concurrency, queue interleaving, coalesced batching, pause/resume
 //! churn — never changes a single output bit. This suite enforces it
-//! over the full engine/size/output matrix the issue names:
-//! QL and D&C finales, `n ∈ {2, 48, 65, 129, 257}`, values-only and
-//! with vectors. The solo reference is [`ca_service::solve_job`] called
+//! over the full size/output matrix: `n ∈ {2, 48, 65, 129, 257}`,
+//! values-only and with vectors. The solo reference is [`ca_service::solve_job`] called
 //! directly on this thread with the same knob snapshot the service
 //! froze — the same function the workers run, so any divergence is a
 //! real scheduling leak, not a harness artifact.
@@ -16,25 +15,24 @@
 //! parallel bit-identity of the solver itself is pinned by
 //! `tests/serial_knob.rs`).
 
-use ca_service::{Engine, EigenService, JobResult, ServiceConfig, SymmEigenJob};
+use ca_service::{EigenService, JobResult, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::dla::gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SIZES: [usize; 5] = [2, 48, 65, 129, 257];
 
-/// Deterministic job for (n, engine, vectors): seeded matrix with a
-/// known spectrum.
-fn make_job(n: usize, engine: Engine, vectors: bool) -> SymmEigenJob {
+/// Deterministic job for (n, vectors): seeded matrix with a known
+/// spectrum.
+fn make_job(n: usize, vectors: bool) -> SymmEigenJob {
     let mut rng = StdRng::seed_from_u64(0x9E37 ^ (n as u64) << 2 ^ vectors as u64);
     let spectrum = gen::linspace_spectrum(n, -3.0, 3.0);
     let a = gen::symmetric_with_spectrum(&mut rng, &spectrum);
-    let job = if vectors {
+    if vectors {
         SymmEigenJob::with_vectors(a, 4, 1)
     } else {
         SymmEigenJob::values(a, 4, 1)
-    };
-    job.engine(engine)
+    }
 }
 
 /// Exact bit pattern of a result's numerical outputs.
@@ -46,17 +44,14 @@ fn bits(r: &JobResult) -> Vec<u64> {
     out
 }
 
-/// The full job matrix: engines × sizes × output modes. Vectors at
+/// The full job matrix: sizes × output modes. Vectors at
 /// n = 257 are the most expensive cell (~O(n³) back-transformation);
 /// the whole matrix stays well inside CI budgets.
 fn job_matrix() -> Vec<(String, SymmEigenJob)> {
     let mut jobs = Vec::new();
     for &n in &SIZES {
-        for engine in [Engine::Ql, Engine::Dnc] {
-            for vectors in [false, true] {
-                let label = format!("n={n} {} vectors={vectors}", engine.name());
-                jobs.push((label, make_job(n, engine, vectors)));
-            }
+        for vectors in [false, true] {
+            jobs.push((format!("n={n} vectors={vectors}"), make_job(n, vectors)));
         }
     }
     jobs
@@ -145,31 +140,6 @@ fn interleaving_and_batching_shape_do_not_change_bits() {
                 "{} (workers={workers} reversed={reversed} floor={batch_floor}): bits changed",
                 jobs[i].0
             );
-        }
-    }
-}
-
-#[test]
-fn engines_agree_on_eigenvalues_but_differ_in_schedule() {
-    // Sanity guard that the differential matrix actually exercises two
-    // engines: QL and D&C must agree to solver tolerance (they are
-    // different algorithms, so bit-equality is NOT expected) while each
-    // engine is bit-stable against itself.
-    let service = EigenService::new(ServiceConfig::default());
-    for &n in &[48usize, 65] {
-        let ql = service
-            .submit(make_job(n, Engine::Ql, false))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let dnc = service
-            .submit(make_job(n, Engine::Dnc, false))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(!ql.knobs.dnc_enabled && dnc.knobs.dnc_enabled);
-        for (a, b) in ql.eigenvalues.iter().zip(&dnc.eigenvalues) {
-            assert!((a - b).abs() < 1e-8 * n as f64, "n={n}: {a} vs {b}");
         }
     }
 }

@@ -15,7 +15,7 @@
 //! suite stays CI-fast; the soak binary (`ca-bench --bin soak`) covers
 //! sustained load.
 
-use ca_service::{Engine, EigenService, KnobSnapshot, ServiceConfig, SymmEigenJob};
+use ca_service::{EigenService, KnobSnapshot, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::dla::gen;
 use ca_symm_eig::eigen::EigenError;
 use rand::rngs::StdRng;
@@ -34,8 +34,7 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 const CLIENTS: usize = 8;
 const JOBS_PER_CLIENT: usize = 6;
 
-/// Deterministic mixed-size job list (sizes 8..64, both engines, a few
-/// vector jobs) shared by every test, identified by index.
+/// Deterministic mixed-size job list (sizes 8..64, a few vector jobs) shared by every test, identified by index.
 fn job_pool() -> Vec<SymmEigenJob> {
     let sizes = [8usize, 13, 16, 24, 32, 48, 64];
     (0..CLIENTS * JOBS_PER_CLIENT)
@@ -43,12 +42,11 @@ fn job_pool() -> Vec<SymmEigenJob> {
             let n = sizes[i % sizes.len()];
             let mut rng = StdRng::seed_from_u64(0xC0FFEE + i as u64);
             let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(n, -2.0, 2.0));
-            let job = if i % 5 == 0 {
+            if i % 5 == 0 {
                 SymmEigenJob::with_vectors(a, 4, 1)
             } else {
                 SymmEigenJob::values(a, 4, 1)
-            };
-            job.engine(if i % 2 == 0 { Engine::Dnc } else { Engine::Ql })
+            }
         })
         .collect()
 }
