@@ -166,7 +166,11 @@ fn main() {
             "    {{\"n\": {n}, \"p\": {p}, \"c\": 1, \"ms\": {:.3},\n     \"stages\": [\n",
             t * 1e3
         ));
-        let present: Vec<&str> = STAGES.iter().copied().filter(|s| stages.count(s) > 0).collect();
+        let present: Vec<&str> = STAGES
+            .iter()
+            .copied()
+            .filter(|s| stages.count(s) > 0)
+            .collect();
         for (si, stage) in present.iter().enumerate() {
             let wall = stages.wall_seconds(stage);
             let gflop = stages.aggregate(stage).total_flops as f64 / 1e9;

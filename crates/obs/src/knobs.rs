@@ -112,8 +112,8 @@ pub fn serial() -> bool {
 }
 
 /// Always `true`: the task-graph reduction engine this knob selected is
-/// gone. Kept only because the benchmark's knob guard and replay read
-/// it; the next benchmark change drops it.
+/// gone. Kept only because the benchmark's knob guard reads it; the
+/// next benchmark change drops it.
 pub fn lookahead() -> bool {
     true
 }

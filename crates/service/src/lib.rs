@@ -464,7 +464,9 @@ fn run_one(shared: &Shared, q: QueuedJob) {
             let t0 = Instant::now();
             let solve = AssertUnwindSafe(|| (shared.solve)(&q.job, shared.knobs));
             let r = std::panic::catch_unwind(solve).unwrap_or_else(|payload| {
-                Err(EigenError::Internal { message: panic_message(payload.as_ref()) })
+                Err(EigenError::Internal {
+                    message: panic_message(payload.as_ref()),
+                })
             });
             shared.stats.record_solve(t0.elapsed(), r.is_ok());
             r
@@ -691,7 +693,9 @@ mod tests {
         // Both workers are still alive and serving.
         assert!(service.workers.iter().all(|w| !w.is_finished()));
         assert_eq!(service.workers.len(), 2);
-        let after: Vec<_> = (0..4).map(|i| service.submit(job(20 + i, i as u64).0).unwrap()).collect();
+        let after: Vec<_> = (0..4)
+            .map(|i| service.submit(job(20 + i, i as u64).0).unwrap())
+            .collect();
         for t in after {
             assert!(t.wait().is_ok());
         }
@@ -702,7 +706,11 @@ mod tests {
     #[test]
     fn dropped_job_fulfils_its_ticket() {
         let slot = Slot::new();
-        let ticket = JobTicket { slot: Arc::clone(&slot), id: 0, submitted: Instant::now() };
+        let ticket = JobTicket {
+            slot: Arc::clone(&slot),
+            id: 0,
+            submitted: Instant::now(),
+        };
         drop(Completion(Some(slot)));
         assert!(matches!(ticket.wait(), Err(EigenError::Internal { .. })));
     }

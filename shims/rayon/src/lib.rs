@@ -101,7 +101,10 @@ impl Pool {
                     match queue.pop_front() {
                         Some(task) => break task,
                         None => {
-                            queue = self.ready.wait(queue).expect("rayon shim: pool queue poisoned")
+                            queue = self
+                                .ready
+                                .wait(queue)
+                                .expect("rayon shim: pool queue poisoned")
                         }
                     }
                 }
@@ -123,7 +126,10 @@ struct Scope {
 impl Scope {
     fn finish(&self, panic: Option<Panic>) {
         if let Some(p) = panic {
-            self.panic.lock().expect("rayon shim: scope poisoned").get_or_insert(p);
+            self.panic
+                .lock()
+                .expect("rayon shim: scope poisoned")
+                .get_or_insert(p);
         }
         let mut pending = self.pending.lock().expect("rayon shim: scope poisoned");
         *pending -= 1;
@@ -191,7 +197,13 @@ fn run_scoped(mut tasks: Vec<Task<'_>>) {
         pool.ready.notify_all();
         catch_unwind(AssertUnwindSafe(first)).err()
     };
-    let panic = first_panic.or_else(|| scope.panic.lock().expect("rayon shim: scope poisoned").take());
+    let panic = first_panic.or_else(|| {
+        scope
+            .panic
+            .lock()
+            .expect("rayon shim: scope poisoned")
+            .take()
+    });
     if let Some(p) = panic {
         resume_unwind(p);
     }
@@ -211,7 +223,10 @@ where
         return (ra, rb);
     }
     let (mut ra, mut rb) = (None, None);
-    run_scoped(vec![Box::new(|| ra = Some(a())), Box::new(|| rb = Some(b()))]);
+    run_scoped(vec![
+        Box::new(|| ra = Some(a())),
+        Box::new(|| rb = Some(b())),
+    ]);
     (
         ra.expect("rayon shim: join block did not run"),
         rb.expect("rayon shim: join block did not run"),
@@ -690,7 +705,11 @@ mod tests {
         });
         let payload = caught.expect_err("the block's panic must reach the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"block 0 fails"));
-        assert_eq!(finished.load(Ordering::SeqCst), t - 1, "siblings must finish first");
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            t - 1,
+            "siblings must finish first"
+        );
 
         // A pool-run block panicking, then a normal call on the same pool.
         let caught = std::panic::catch_unwind(|| {
@@ -731,8 +750,10 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for round in 0..50 {
-                        let v: Vec<usize> =
-                            (0..1000).into_par_iter().map(|i| i * 3 + k + round).collect();
+                        let v: Vec<usize> = (0..1000)
+                            .into_par_iter()
+                            .map(|i| i * 3 + k + round)
+                            .collect();
                         assert!(v.iter().enumerate().all(|(i, &x)| x == i * 3 + k + round));
                     }
                 });
@@ -752,17 +773,28 @@ mod tests {
                 on_caller.fetch_add(1, Ordering::SeqCst);
             }
         });
-        let (a, b) = super::join(|| std::thread::current().id(), || std::thread::current().id());
+        let (a, b) = super::join(
+            || std::thread::current().id(),
+            || std::thread::current().id(),
+        );
         assert_eq!(on_caller.load(Ordering::SeqCst), 64);
         assert_eq!((a, b), (me, me));
-        assert!(super::POOL.get().is_none(), "one thread must never start the pool");
+        assert!(
+            super::POOL.get().is_none(),
+            "one thread must never start the pool"
+        );
         println!("INLINE_OK");
     }
 
     #[test]
     fn single_thread_runs_inline() {
         let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-            .args(["--ignored", "--exact", "tests::inline_payload", "--nocapture"])
+            .args([
+                "--ignored",
+                "--exact",
+                "tests::inline_payload",
+                "--nocapture",
+            ])
             .env("RAYON_NUM_THREADS", "1")
             .output()
             .expect("spawn test subprocess");
