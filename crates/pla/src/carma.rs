@@ -60,39 +60,13 @@ pub fn carma_spread(m: &Machine, group: &Grid, a: &Matrix, b: &Matrix, v: usize)
     let (kk2, nn) = (b.rows(), b.cols());
     assert_eq!(kk, kk2, "carma: inner dimensions disagree");
     let mut out = Matrix::zeros(mm, nn);
-    carma_spread_into(m, group, &a.view(), Trans::N, &b.view(), v, &mut out.view_mut());
+    carma_spread_into(m, group, &a.view(), &b.view(), v, &mut out.view_mut());
     out
 }
 
-/// Rows/cols of `op(A)` for a view operand.
-#[inline]
-fn op_shape(a: &MatrixView, ta: Trans) -> (usize, usize) {
-    match ta {
-        Trans::N => (a.rows(), a.cols()),
-        Trans::T => (a.cols(), a.rows()),
-    }
-}
-
-/// Sub-view of `op(A)` (rows `r0..r0+nr`, cols `c0..c0+nc` in *op*
-/// coordinates), mapped back onto the stored orientation.
-#[inline]
-fn op_sub<'a>(
-    a: &MatrixView<'a>,
-    ta: Trans,
-    r0: usize,
-    c0: usize,
-    nr: usize,
-    nc: usize,
-) -> MatrixView<'a> {
-    match ta {
-        Trans::N => a.sub(r0, c0, nr, nc),
-        Trans::T => a.sub(c0, r0, nc, nr),
-    }
-}
-
-/// Zero-copy [`carma_spread`]: `out ← op(A)·B` written directly into a
-/// strided output view, with operands taken as (optionally transposed)
-/// views of their parent storage.
+/// Zero-copy [`carma_spread`]: `out ← A·B` written directly into a
+/// strided output view, with operands taken as views of their parent
+/// storage.
 ///
 /// Callers can address operand panels in place instead of extracting
 /// blocks. The result and the ledger charges are **bitwise identical**
@@ -108,20 +82,16 @@ fn op_sub<'a>(
 ///   add sequence (including the `0.0 + x` of the first chunk);
 /// * the one-processor base writes through a `β = 0` GEMM, which
 ///   pre-zeroes the output and therefore stores the same bits as a
-///   fresh-matrix product copied into place;
-/// * a transposed operand reads through the GEMM kernels' `op(A)`
-///   resolver, which performs the same arithmetic in the same order as
-///   on a pre-transposed copy.
+///   fresh-matrix product copied into place.
 pub fn carma_spread_into(
     m: &Machine,
     group: &Grid,
     a: &MatrixView,
-    ta: Trans,
     b: &MatrixView,
     v: usize,
     out: &mut MatrixViewMut,
 ) {
-    let (mm, kk) = op_shape(a, ta);
+    let (mm, kk) = (a.rows(), a.cols());
     let (kk2, nn) = (b.rows(), b.cols());
     assert_eq!(kk, kk2, "carma: inner dimensions disagree");
     assert_eq!(
@@ -131,7 +101,7 @@ pub fn carma_spread_into(
     );
     let v = v.max(1).min(kk.max(1));
     if v == 1 || kk < 2 * v {
-        carma_rec_into(m, group, a, ta, b, out);
+        carma_rec_into(m, group, a, b, out);
         return;
     }
     // v inner-dimension chunks, accumulated chunk-by-chunk exactly as
@@ -144,10 +114,10 @@ pub fn carma_spread_into(
         if w[1] == w[0] {
             continue;
         }
-        let ac = op_sub(a, ta, 0, w[0], mm, w[1] - w[0]);
+        let ac = a.sub(0, w[0], mm, w[1] - w[0]);
         let bc = b.sub(w[0], 0, w[1] - w[0], nn);
         let mut part = Matrix::zeros(mm, nn);
-        carma_rec_into(m, group, &ac, ta, &bc, &mut part.view_mut());
+        carma_rec_into(m, group, &ac, &bc, &mut part.view_mut());
         out.add_scaled(1.0, &part.view());
         for &pid in group.procs() {
             m.charge_flops(pid, (mm * nn) as u64 / g);
@@ -162,15 +132,14 @@ fn carma_rec_into(
     m: &Machine,
     group: &Grid,
     a: &MatrixView,
-    ta: Trans,
     b: &MatrixView,
     out: &mut MatrixViewMut,
 ) {
     let g = group.len();
-    let (mm, kk) = op_shape(a, ta);
+    let (mm, kk) = (a.rows(), a.cols());
     let nn = b.cols();
     if g == 1 {
-        kern::local_matmul_into(m, group.proc(0), a, ta, b, Trans::N, out);
+        kern::local_matmul_into(m, group.proc(0), a, Trans::N, b, Trans::N, out);
         return;
     }
     let g1 = g / 2;
@@ -178,22 +147,22 @@ fn carma_rec_into(
     let gw = g as u64;
 
     if mm >= kk && mm >= nn && mm >= 2 {
-        // Split rows of op(A) (and C); B is replicated into both halves.
+        // Split rows of A (and C); B is replicated into both halves.
         let cut = mm * g1 / g;
-        let a1 = op_sub(a, ta, 0, 0, cut, kk);
-        let a2 = op_sub(a, ta, cut, 0, mm - cut, kk);
+        let a1 = a.sub(0, 0, cut, kk);
+        let a2 = a.sub(cut, 0, mm - cut, kk);
         for &pid in group.procs() {
             m.charge_comm(pid, 2 * (kk * nn) as u64 / gw);
             m.alloc(pid, (kk * nn) as u64 / gw);
         }
         m.step(group.procs(), 1);
-        carma_rec_into(m, &halves.0, &a1, ta, b, &mut out.sub_mut(0, 0, cut, nn));
-        carma_rec_into(m, &halves.1, &a2, ta, b, &mut out.sub_mut(cut, 0, mm - cut, nn));
+        carma_rec_into(m, &halves.0, &a1, b, &mut out.sub_mut(0, 0, cut, nn));
+        carma_rec_into(m, &halves.1, &a2, b, &mut out.sub_mut(cut, 0, mm - cut, nn));
         for &pid in group.procs() {
             m.free(pid, (kk * nn) as u64 / gw);
         }
     } else if nn >= kk && nn >= 2 {
-        // Split columns of B (and C); op(A) is replicated into both halves.
+        // Split columns of B (and C); A is replicated into both halves.
         let cut = nn * g1 / g;
         let b1 = b.sub(0, 0, kk, cut);
         let b2 = b.sub(0, cut, kk, nn - cut);
@@ -202,8 +171,8 @@ fn carma_rec_into(
             m.alloc(pid, (mm * kk) as u64 / gw);
         }
         m.step(group.procs(), 1);
-        carma_rec_into(m, &halves.0, a, ta, &b1, &mut out.sub_mut(0, 0, mm, cut));
-        carma_rec_into(m, &halves.1, a, ta, &b2, &mut out.sub_mut(0, cut, mm, nn - cut));
+        carma_rec_into(m, &halves.0, a, &b1, &mut out.sub_mut(0, 0, mm, cut));
+        carma_rec_into(m, &halves.1, a, &b2, &mut out.sub_mut(0, cut, mm, nn - cut));
         for &pid in group.procs() {
             m.free(pid, (mm * kk) as u64 / gw);
         }
@@ -214,13 +183,13 @@ fn carma_rec_into(
         // first half into a temporary, second half into `out`, one
         // elementwise add.
         let cut = kk * g1 / g;
-        let a1 = op_sub(a, ta, 0, 0, mm, cut);
-        let a2 = op_sub(a, ta, 0, cut, mm, kk - cut);
+        let a1 = a.sub(0, 0, mm, cut);
+        let a2 = a.sub(0, cut, mm, kk - cut);
         let b1 = b.sub(0, 0, cut, nn);
         let b2 = b.sub(cut, 0, kk - cut, nn);
         let mut c1 = Matrix::zeros(mm, nn);
-        carma_rec_into(m, &halves.0, &a1, ta, &b1, &mut c1.view_mut());
-        carma_rec_into(m, &halves.1, &a2, ta, &b2, out);
+        carma_rec_into(m, &halves.0, &a1, &b1, &mut c1.view_mut());
+        carma_rec_into(m, &halves.1, &a2, &b2, out);
         for &pid in group.procs() {
             m.charge_comm(pid, 2 * (mm * nn) as u64 / gw);
             m.charge_flops(pid, (mm * nn) as u64 / gw);
@@ -229,7 +198,7 @@ fn carma_rec_into(
         out.add_scaled(1.0, &c1.view());
     } else {
         // Degenerate tiny dimensions: compute on rank 0.
-        kern::local_matmul_into(m, group.proc(0), a, ta, b, Trans::N, out);
+        kern::local_matmul_into(m, group.proc(0), a, Trans::N, b, Trans::N, out);
     }
 }
 
@@ -386,31 +355,23 @@ mod tests {
     fn into_variant_is_bitwise_identical_with_matching_charges() {
         // The zero-copy recursion must reproduce the copy path exactly:
         // same f64 bits in the product (written into an offset region of
-        // a larger buffer) and the same folded ledger, for both operand
-        // orientations and with v-chunking active.
-        for (mm, kk, nn, g, v, ta, seed) in [
-            (24usize, 32usize, 16usize, 4usize, 1usize, Trans::N, 310u64),
-            (24, 32, 16, 4, 4, Trans::N, 311),
-            (64, 8, 8, 6, 1, Trans::N, 312),
-            (8, 40, 8, 8, 5, Trans::N, 313), // k-split + chunking
-            (17, 13, 19, 5, 2, Trans::T, 314),
-            (32, 24, 16, 4, 3, Trans::T, 315),
+        // a larger buffer) and the same folded ledger, with v-chunking
+        // active.
+        for (mm, kk, nn, g, v, seed) in [
+            (24usize, 32usize, 16usize, 4usize, 1usize, 310u64),
+            (24, 32, 16, 4, 4, 311),
+            (64, 8, 8, 6, 1, 312),
+            (8, 40, 8, 8, 5, 313), // k-split + chunking
+            (17, 13, 19, 5, 2, 314),
+            (32, 24, 16, 4, 3, 315),
         ] {
             let grid = Grid::all(g);
             let mut rng = StdRng::seed_from_u64(seed);
-            let (ar, ac) = match ta {
-                Trans::N => (mm, kk),
-                Trans::T => (kk, mm),
-            };
-            let a = gen::random_matrix(&mut rng, ar, ac);
+            let a = gen::random_matrix(&mut rng, mm, kk);
             let b = gen::random_matrix(&mut rng, kk, nn);
 
             let m1 = machine(g);
-            let a_op = match ta {
-                Trans::N => a.block(0, 0, mm, kk),
-                Trans::T => a.transpose(),
-            };
-            let want = carma_spread_copy(&m1, &grid, &a_op, &b, v);
+            let want = carma_spread_copy(&m1, &grid, &a, &b, v);
             m1.fence();
 
             let m2 = machine(g);
@@ -421,7 +382,6 @@ mod tests {
                 &m2,
                 &grid,
                 &a.view(),
-                ta,
                 &b.view(),
                 v,
                 &mut host.subview_mut(2, 1, mm, nn),
@@ -432,14 +392,14 @@ mod tests {
                 for j in 0..nn {
                     assert!(
                         host.get(2 + i, 1 + j).to_bits() == want.get(i, j).to_bits(),
-                        "m={mm} k={kk} n={nn} g={g} v={v} ta={ta:?}: bit mismatch at ({i},{j})"
+                        "m={mm} k={kk} n={nn} g={g} v={v}: bit mismatch at ({i},{j})"
                     );
                 }
             }
             assert_eq!(
                 m1.report(),
                 m2.report(),
-                "m={mm} k={kk} n={nn} g={g} v={v} ta={ta:?}: ledger diverged"
+                "m={mm} k={kk} n={nn} g={g} v={v}: ledger diverged"
             );
         }
     }

@@ -126,7 +126,6 @@ pub fn streaming_mm_dense(
         sub,
         transpose_a,
         &b.view(),
-        false,
         w,
         &mut out.view_mut(),
     );
@@ -146,12 +145,6 @@ pub fn streaming_mm_dense(
 /// the zero-filled output performs the copy path's exact add sequence
 /// (including the `0.0 + x` first touch). All charges are shape-derived
 /// and issued in the same order.
-///
-/// `transpose_b` streams `Bᵀ` without materializing the transpose (the
-/// aggregate-panel operands of Algorithm IV.1's lines 5/12 are
-/// transposed blocks): the GEMM kernels' operand resolver reads the
-/// stored orientation in place, performing the same arithmetic in the
-/// same order as on a pre-transposed copy.
 #[allow(clippy::too_many_arguments)] // mirrors streaming_mm_dense + the output view
 pub fn streaming_mm_view_into(
     m: &Machine,
@@ -160,7 +153,6 @@ pub fn streaming_mm_view_into(
     sub: (usize, usize, usize, usize),
     transpose_a: bool,
     b: &MatrixView,
-    transpose_b: bool,
     w: usize,
     out: &mut MatrixViewMut,
 ) {
@@ -169,12 +161,8 @@ pub fn streaming_mm_view_into(
     assert_eq!(q0, q1, "streaming_mm expects a square per-layer grid");
     let q = q0;
     let (inner, out_rows) = if transpose_a { (nr, nc) } else { (nc, nr) };
-    let (b_rows, k) = if transpose_b {
-        (b.cols(), b.rows())
-    } else {
-        (b.rows(), b.cols())
-    };
-    assert_eq!(b_rows, inner, "streaming_mm: inner dimension mismatch");
+    let k = b.cols();
+    assert_eq!(b.rows(), inner, "streaming_mm: inner dimension mismatch");
     assert_eq!(
         (out.rows(), out.cols()),
         (out_rows, k),
@@ -210,11 +198,7 @@ pub fn streaming_mm_view_into(
                 if j0 == j1 {
                     continue;
                 }
-                let b_jh = if transpose_b {
-                    b.sub(k0, j0, kb, j1 - j0)
-                } else {
-                    b.sub(j0, k0, j1 - j0, kb)
-                };
+                let b_jh = b.sub(j0, k0, j1 - j0, kb);
                 let gather_group = if transpose_a {
                     grid3.dim1_group(jdim, l)
                 } else {
@@ -240,7 +224,6 @@ pub fn streaming_mm_view_into(
                         l,
                     );
                     let ta = if transpose_a { Trans::T } else { Trans::N };
-                    let tb = if transpose_b { Trans::T } else { Trans::N };
                     let flops = 2 * (i1 - i0) as u64 * (j1 - j0) as u64 * kb as u64;
                     m.charge_flops(pid, flops);
                     let a_words = (a_blk.rows() * a_blk.cols()) as u64;
@@ -252,7 +235,7 @@ pub fn streaming_mm_view_into(
                     };
                     m.charge_vert(pid, vert);
                     let mut part = Matrix::zeros(i1 - i0, kb);
-                    gemm_view(1.0, &a_blk, ta, b_jh, tb, 0.0, &mut part.view_mut());
+                    gemm_view(1.0, &a_blk, ta, b_jh, Trans::N, 0.0, &mut part.view_mut());
                     Some((i0, part))
                 });
                 for (i0, part) in parts.into_iter().flatten() {
@@ -489,13 +472,13 @@ mod tests {
 
     #[test]
     fn view_into_variant_is_bitwise_identical_with_matching_charges() {
-        for (q, c, w, sub, transpose_a, transpose_b, k, seed) in [
-            (2usize, 1usize, 1usize, (0usize, 0usize, 12usize, 12usize), false, false, 6usize, 400u64),
-            (2, 2, 2, (4, 6, 12, 10), false, false, 4, 401),
-            (2, 1, 1, (2, 3, 9, 11), true, false, 5, 402),
-            (3, 1, 2, (1, 0, 13, 14), false, false, 7, 403),
-            (2, 1, 2, (3, 1, 11, 9), false, true, 6, 404),
-            (2, 2, 1, (0, 2, 10, 13), true, true, 5, 405),
+        for (q, c, w, sub, transpose_a, k, seed) in [
+            (2usize, 1usize, 1usize, (0usize, 0usize, 12usize, 12usize), false, 6usize, 400u64),
+            (2, 2, 2, (4, 6, 12, 10), false, 4, 401),
+            (2, 1, 1, (2, 3, 9, 11), true, 5, 402),
+            (3, 1, 2, (1, 0, 13, 14), false, 7, 403),
+            (2, 1, 2, (3, 1, 11, 9), false, 6, 404),
+            (2, 2, 1, (0, 2, 10, 13), true, 5, 405),
         ] {
             let p = q * q * c;
             let g = grid3(q, c);
@@ -504,10 +487,7 @@ mod tests {
             let (_, _, nr, nc) = sub;
             let inner = if transpose_a { nr } else { nc };
             let out_rows = if transpose_a { nc } else { nr };
-            // The copy path takes B stored `inner x k`; the view path may
-            // instead read the transpose of a `k x inner` backing store.
             let b = gen::random_matrix(&mut rng, inner, k);
-            let b_stored = if transpose_b { b.transpose() } else { b.clone() };
 
             let m1 = machine(p);
             let want = streaming_mm_dense_copy(&m1, &g, &a, sub, transpose_a, &b, w);
@@ -521,8 +501,7 @@ mod tests {
                 &a.view(),
                 sub,
                 transpose_a,
-                &b_stored.view(),
-                transpose_b,
+                &b.view(),
                 w,
                 &mut host.subview_mut(1, 2, out_rows, k),
             );
@@ -532,14 +511,14 @@ mod tests {
                 for j in 0..k {
                     assert!(
                         host.get(1 + i, 2 + j).to_bits() == want.get(i, j).to_bits(),
-                        "q={q} c={c} w={w} ta={transpose_a} tb={transpose_b}: bit mismatch at ({i},{j})"
+                        "q={q} c={c} w={w} ta={transpose_a}: bit mismatch at ({i},{j})"
                     );
                 }
             }
             assert_eq!(
                 m1.report(),
                 m2.report(),
-                "q={q} c={c} w={w} ta={transpose_a} tb={transpose_b}: ledger diverged"
+                "q={q} c={c} w={w} ta={transpose_a}: ledger diverged"
             );
         }
     }
