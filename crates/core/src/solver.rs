@@ -164,8 +164,7 @@ pub fn try_symm_eigen_25d(
     params: &EigenParams,
     a: &Matrix,
 ) -> Result<(Vec<f64>, StageCosts), EigenError> {
-    validate_input(params, a)?;
-    let (ev, costs, _) = solve_impl(machine, params, a, false)?;
+    let (ev, costs, _) = solve_in_range(machine, params, a, false)?;
     Ok((ev, costs))
 }
 
@@ -190,15 +189,51 @@ pub fn try_symm_eigen_25d_vectors(
     params: &EigenParams,
     a: &Matrix,
 ) -> Result<(Vec<f64>, Matrix, StageCosts), EigenError> {
-    validate_input(params, a)?;
-    let (ev, costs, v) = solve_impl(machine, params, a, true)?;
+    let (ev, costs, v) = solve_in_range(machine, params, a, true)?;
     Ok((ev, v.expect("vectors requested"), costs))
+}
+
+/// Validate, then solve. An input whose max-norm lies outside
+/// `[rmin, rmax]` is solved as a copy scaled by a power of two `σ` and
+/// its eigenvalues are divided by `σ` (LAPACK `dsyev`-style range
+/// scaling); the eigenvectors of `σA` are those of `A`. As in `dsyev`,
+/// `rmin = √(MIN_POSITIVE/EPSILON) = 2⁻⁴⁸⁵ ≈ 1.0e-146` and
+/// `rmax = 1/rmin`: outside that range the squared entries summed in
+/// Householder norms underflow or overflow. `σ` moves the
+/// norm to the bound it crossed, not to 1: for a subnormal input a `σ`
+/// aimed at 1 would not be representable. In-range inputs take the
+/// unscaled path bit for bit. The scaling is a local `O(n²)` pass
+/// outside the paper's cost model and is not charged (DESIGN.md §9).
+fn solve_in_range(
+    machine: &Machine,
+    params: &EigenParams,
+    a: &Matrix,
+    want_vectors: bool,
+) -> Result<(Vec<f64>, StageCosts, Option<Matrix>), EigenError> {
+    let norm = validate_input(params, a)?;
+    let rmin = (f64::MIN_POSITIVE / f64::EPSILON).sqrt();
+    let rmax = 1.0 / rmin;
+    let sigma = if norm > 0.0 && norm < rmin {
+        2f64.powi((rmin / norm).log2().ceil() as i32)
+    } else if norm > rmax {
+        2f64.powi(-(norm / rmax).log2().ceil() as i32)
+    } else {
+        return solve_impl(machine, params, a, want_vectors);
+    };
+    let mut scaled = a.clone();
+    scaled.scale(sigma);
+    let (mut ev, costs, v) = solve_impl(machine, params, &scaled, want_vectors)?;
+    for l in &mut ev {
+        *l /= sigma;
+    }
+    Ok((ev, costs, v))
 }
 
 /// Shared request validation for the `Result` entry points: grid
 /// invariants, squareness, minimum size, symmetry. Runs before any
 /// cost is charged, so a rejected request leaves the ledger untouched.
-fn validate_input(params: &EigenParams, a: &Matrix) -> Result<(), EigenError> {
+/// Returns the input's max-norm.
+fn validate_input(params: &EigenParams, a: &Matrix) -> Result<f64, EigenError> {
     params.revalidate()?;
     if a.rows() != a.cols() {
         return Err(EigenError::NonSquareInput {
@@ -218,13 +253,14 @@ fn validate_input(params: &EigenParams, a: &Matrix) -> Result<(), EigenError> {
             col: idx % a.cols(),
         });
     }
-    let scale = a.norm_max().max(1.0);
+    let norm = a.norm_max();
+    let scale = norm.max(1.0);
     if a.asymmetry() >= 1e-10 * scale {
         return Err(EigenError::AsymmetricInput {
             asymmetry: a.asymmetry() / scale,
         });
     }
-    Ok(())
+    Ok(norm)
 }
 
 fn solve_impl(

@@ -12,30 +12,25 @@
 //!
 //! Both default to values picked by the stage-time bench on the
 //! reference host and can be overridden per process with the
-//! `CA_HALVE_FLOOR` / `CA_DNC_LEAF` environment variables, or per run
-//! with the setters.
-//!
-//! Reads are lock-free atomics; the env variables are consulted once,
-//! on first read, through the shared [`ca_obs::knobs`] parser (so a
-//! malformed value like `CA_DNC_LEAF=fast` warns on stderr instead of
-//! being silently ignored).
+//! `CA_HALVE_FLOOR` / `CA_DNC_LEAF` environment variables. The
+//! variables are write-once: they are read a single time, on first
+//! use, through the shared [`ca_obs::knobs`] parser (so a malformed
+//! value like `CA_DNC_LEAF=fast` warns on stderr instead of being
+//! silently ignored), and the process values never change afterwards.
 //!
 //! ## Snapshots and per-scope overrides
 //!
-//! The process-global setters above are a footgun for anything that
-//! runs more than one solve per process: a `set_dnc_leaf` call (or a
-//! test toggling knobs) midway through a batch would split the batch's
-//! configuration, and the solver samples the knobs several times per
-//! solve, so a flip could even split *one solve*. [`KnobSnapshot`]
-//! freezes the engine knobs at one instant and [`with_knobs`] pins them
-//! for a scope via a thread-local override that every knob read
-//! consults first. The multi-tenant service (`ca-service`) captures one
-//! snapshot at construction and wraps every job it runs in
-//! [`with_knobs`], so global knob churn cannot leak into an in-flight
-//! batch (pinned by `tests/serial_knob.rs`).
+//! [`KnobSnapshot`] freezes the knobs at one instant and [`with_knobs`]
+//! pins a snapshot for a scope via a thread-local override that every
+//! knob read consults first. This is the only way to run a solve under
+//! non-default schedule parameters without restarting the process:
+//! the multi-tenant service (`ca-service`) runs every job of one
+//! instance under the snapshot it was built with, so two services with
+//! different snapshots can share a process (pinned by
+//! `tests/serial_knob.rs`), and tests pick a small D&C leaf for one
+//! scope without touching any other thread.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Default bandwidth at which halving sweeps hand over to the fused
@@ -51,14 +46,12 @@ pub const DEFAULT_HALVE_FLOOR: usize = 128;
 /// beat the merge machinery's constant factors.
 pub const DEFAULT_DNC_LEAF: usize = 40;
 
-static HALVE_FLOOR: AtomicUsize = AtomicUsize::new(0); // 0 = uninitialised
-static DNC_LEAF: AtomicUsize = AtomicUsize::new(0);
-static DNC_INIT: OnceLock<()> = OnceLock::new();
+/// `(halve_floor, dnc_leaf)` from the environment, read once.
+static ENV_KNOBS: OnceLock<(usize, usize)> = OnceLock::new();
 
 thread_local! {
-    /// Active [`with_knobs`] override for this thread, if any. Engine
-    /// knob reads consult this before the process globals, so a scope
-    /// that pinned a snapshot is immune to concurrent `set_*` calls.
+    /// Active [`with_knobs`] override for this thread, if any. Knob
+    /// reads consult this before the process-wide environment values.
     static KNOB_OVERRIDE: Cell<Option<KnobSnapshot>> = const { Cell::new(None) };
 }
 
@@ -68,9 +61,8 @@ thread_local! {
 /// * **reporting** — a service or bench harness records the exact
 ///   configuration a run executed under;
 /// * **pinning** — [`with_knobs`] makes the snapshot the authoritative
-///   source for all knob reads in a scope, so process-global setters
-///   (or another tenant's configuration) cannot change an in-flight
-///   solve's engine choice.
+///   source for all knob reads in a scope, so another tenant's
+///   configuration cannot change an in-flight solve's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnobSnapshot {
     /// Always `true` (see [`dnc_enabled`]). Kept only because the
@@ -123,45 +115,28 @@ pub fn with_knobs<R>(snap: KnobSnapshot, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-fn init() {
-    DNC_INIT.get_or_init(|| {
+fn env_knobs() -> (usize, usize) {
+    *ENV_KNOBS.get_or_init(|| {
         let floor = ca_obs::knobs::usize_env("CA_HALVE_FLOOR").unwrap_or(DEFAULT_HALVE_FLOOR);
-        HALVE_FLOOR.store(floor.max(1), Ordering::Relaxed);
         let leaf = ca_obs::knobs::usize_env("CA_DNC_LEAF").unwrap_or(DEFAULT_DNC_LEAF);
-        DNC_LEAF.store(leaf.max(2), Ordering::Relaxed);
-    });
+        (floor.max(1), leaf.max(2))
+    })
 }
 
 /// Bandwidth at which halving sweeps stop and the fused rank-1 sweep
 /// finishes the reduction (env `CA_HALVE_FLOOR`).
 pub fn halve_floor() -> usize {
-    if let Some(k) = KNOB_OVERRIDE.with(Cell::get) {
-        return k.halve_floor;
-    }
-    init();
-    HALVE_FLOOR.load(Ordering::Relaxed)
-}
-
-/// Override the halving floor for this process (≥ 1).
-pub fn set_halve_floor(floor: usize) {
-    init();
-    HALVE_FLOOR.store(floor.max(1), Ordering::Relaxed);
+    KNOB_OVERRIDE
+        .with(Cell::get)
+        .map_or_else(|| env_knobs().0, |k| k.halve_floor)
 }
 
 /// Subproblem size below which divide-and-conquer falls back to QL
 /// (env `CA_DNC_LEAF`).
 pub fn dnc_leaf() -> usize {
-    if let Some(k) = KNOB_OVERRIDE.with(Cell::get) {
-        return k.dnc_leaf;
-    }
-    init();
-    DNC_LEAF.load(Ordering::Relaxed)
-}
-
-/// Override the D&C leaf size for this process (≥ 2).
-pub fn set_dnc_leaf(leaf: usize) {
-    init();
-    DNC_LEAF.store(leaf.max(2), Ordering::Relaxed);
+    KNOB_OVERRIDE
+        .with(Cell::get)
+        .map_or_else(|| env_knobs().1, |k| k.dnc_leaf)
 }
 
 /// Always `true`: divide-and-conquer is the only tridiagonal finale.
@@ -188,17 +163,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn knobs_have_sane_defaults_and_roundtrip() {
-        let f0 = halve_floor();
-        let l0 = dnc_leaf();
-        assert!(f0 >= 1);
-        assert!(l0 >= 2);
-        set_halve_floor(16);
-        assert_eq!(halve_floor(), 16);
-        set_halve_floor(f0);
-        set_dnc_leaf(8);
-        assert_eq!(dnc_leaf(), 8);
-        set_dnc_leaf(l0);
+    fn knobs_have_sane_defaults() {
+        assert!(halve_floor() >= 1);
+        assert!(dnc_leaf() >= 2);
     }
 
     #[test]
@@ -220,18 +187,5 @@ mod tests {
             assert_eq!(dnc_leaf(), pinned.dnc_leaf);
         });
         assert_eq!(KnobSnapshot::capture(), base);
-    }
-
-    #[test]
-    fn global_setters_cannot_leak_into_a_pinned_scope() {
-        let base = KnobSnapshot::capture();
-        with_knobs(base, || {
-            // A concurrent tenant (here: this thread, for determinism)
-            // moves the process-global knob mid-scope; the pinned scope
-            // must keep seeing its snapshot.
-            set_dnc_leaf(base.dnc_leaf + 5);
-            assert_eq!(dnc_leaf(), base.dnc_leaf);
-            set_dnc_leaf(base.dnc_leaf);
-        });
     }
 }

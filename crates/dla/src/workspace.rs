@@ -16,10 +16,8 @@
 //! points acquire an arena via [`with_ws`] and pass `&mut Workspace`
 //! down the call tree. The checkout is **re-entrant**: a nested
 //! [`with_ws`] (an entry point reached from inside another entry
-//! point's scope — e.g. a coalesced batch solve running whole solver
-//! invocations on one long-lived service worker thread) checks out its
-//! own arena from the stack instead of panicking on a `RefCell` borrow
-//! as the pre-service implementation did. Arenas return to the stack
+//! point's scope) checks out its own arena from the stack instead of
+//! panicking on a `RefCell` borrow. Arenas return to the stack
 //! LIFO, so repeated workloads at any nesting depth reuse the same warm
 //! arenas and steady-state execution stays allocation-free.
 //!

@@ -8,7 +8,6 @@
 //! |---|---|---|
 //! | `CA_SERVICE_WORKERS` | worker threads | available parallelism, capped at 8 |
 //! | `CA_QUEUE_CAP` | bounded admission-queue capacity | 256 |
-//! | `CA_BATCH_FLOOR` | problems with `n` below this coalesce into batched leaf solves | 64 |
 
 /// Construction-time parameters of an [`crate::EigenService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,16 +18,6 @@ pub struct ServiceConfig {
     /// [`ca_eigen::EigenError::QueueFull`] once this many jobs are
     /// pending (≥ 1).
     pub queue_capacity: usize,
-    /// Problems with `n` below this floor are *coalesced*: a worker
-    /// that dequeues one small job claims every other queued job under
-    /// the floor (up to [`ServiceConfig::batch_max`]) and solves them
-    /// back to back on its warm thread, amortizing per-solve overheads
-    /// (thread hand-off, workspace-arena warm-up, span setup) across
-    /// the batch. `0` disables coalescing.
-    pub batch_floor: usize,
-    /// Upper bound on the number of jobs one coalesced batch may claim,
-    /// so a burst of small jobs still spreads across workers.
-    pub batch_max: usize,
     /// Start with the scheduler paused: jobs are admitted (and counted
     /// against `queue_capacity`) but no worker picks any up until
     /// [`crate::EigenService::resume`]. Used for drain/maintenance
@@ -44,8 +33,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(1)
                 .min(8),
             queue_capacity: 256,
-            batch_floor: 64,
-            batch_max: 16,
             paused: false,
         }
     }
@@ -61,9 +48,6 @@ impl ServiceConfig {
         }
         if let Some(cap) = ca_obs::knobs::usize_env("CA_QUEUE_CAP") {
             cfg.queue_capacity = cap;
-        }
-        if let Some(floor) = ca_obs::knobs::usize_env("CA_BATCH_FLOOR") {
-            cfg.batch_floor = floor;
         }
         cfg
     }
@@ -88,7 +72,6 @@ mod tests {
         let cfg = ServiceConfig::default();
         assert!(cfg.workers >= 1);
         assert!(cfg.queue_capacity >= 1);
-        assert!(cfg.batch_max >= 1);
         assert!(!cfg.paused);
     }
 
@@ -99,11 +82,9 @@ mod tests {
         // sibling tests in this crate do not touch these vars.
         std::env::set_var("CA_SERVICE_WORKERS", "3");
         std::env::set_var("CA_QUEUE_CAP", "11");
-        std::env::set_var("CA_BATCH_FLOOR", "17");
         let cfg = ServiceConfig::from_env();
         std::env::remove_var("CA_SERVICE_WORKERS");
         std::env::remove_var("CA_QUEUE_CAP");
-        std::env::remove_var("CA_BATCH_FLOOR");
-        assert_eq!((cfg.workers, cfg.queue_capacity, cfg.batch_floor), (3, 11, 17));
+        assert_eq!((cfg.workers, cfg.queue_capacity), (3, 11));
     }
 }

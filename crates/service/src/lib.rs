@@ -1,4 +1,4 @@
-//! # ca-service — batched, multi-tenant eigensolver serving
+//! # ca-service — multi-tenant eigensolver serving
 //!
 //! The research driver solves exactly one eigenproblem per process
 //! invocation. This crate turns it into a reusable serving substrate:
@@ -6,15 +6,16 @@
 //! many independent [`SymmEigenJob`]s (values-only or with vectors,
 //! heterogeneous `n`), applies admission control over a bounded queue,
 //! cancels jobs whose scheduling deadline passes
-//! ([`EigenError::Deadline`]), and **coalesces** small problems (below
-//! the `CA_BATCH_FLOOR` knob) into batched leaf solves that amortize
-//! per-solve overheads across a batch — the amortization the paper's
-//! cost model rewards.
+//! ([`EigenError::Deadline`]), and dispatches the rest in admission
+//! order: one FIFO queue served by the worker pool. Each job gets its
+//! own metered virtual machine, so there is no arithmetic to share
+//! between jobs; the service only decides which worker runs a job and
+//! when.
 //!
 //! ## Determinism
 //!
 //! Results are **bit-identical to solo runs** regardless of
-//! concurrency, interleaving, batching, or `CA_SERIAL`, by
+//! concurrency, interleaving, worker count, or `CA_SERIAL`, by
 //! construction (see DESIGN.md §6f):
 //!
 //! 1. every job executes through exactly one function,
@@ -29,8 +30,8 @@
 //!    cold one;
 //! 3. the configuration knobs are **snapshotted once per service
 //!    instance** ([`KnobSnapshot`]) and pinned around every solve via
-//!    [`ca_dla::tune::with_knobs`], so a process-global knob flip
-//!    mid-batch cannot split a batch's configuration;
+//!    [`ca_dla::tune::with_knobs`], so two services with different
+//!    snapshots can share one process;
 //! 4. the solver itself is interleaving-independent: its cost ledger
 //!    is commutative-atomic and its parallel schedules are
 //!    bit-identical to serial execution (pinned by the repo's
@@ -203,7 +204,7 @@ impl JobTicket {
     }
 }
 
-/// A batched, multi-tenant eigensolver front-end. See the crate docs.
+/// A multi-tenant eigensolver front-end. See the crate docs.
 pub struct EigenService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -389,33 +390,14 @@ impl Drop for EigenService {
     }
 }
 
-/// Claim the dequeued job's coalesced batch: if `first` is below the
-/// batch floor, also claim every other queued sub-floor job (up to
-/// `batch_max`), leaving larger jobs queued for other workers. Runs
-/// under the state lock.
-fn claim_batch(st: &mut State, first: QueuedJob, config: &ServiceConfig) -> Vec<QueuedJob> {
-    let mut batch = vec![first];
-    if config.batch_floor > 0 && batch[0].job.n() < config.batch_floor {
-        let mut i = 0;
-        while i < st.queue.len() && batch.len() < config.batch_max.max(1) {
-            if st.queue[i].job.n() < config.batch_floor {
-                batch.push(st.queue.remove(i).expect("index checked"));
-            } else {
-                i += 1;
-            }
-        }
-    }
-    batch
-}
-
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let q = {
             let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if !st.paused || st.closed {
-                    if let Some(first) = st.queue.pop_front() {
-                        break claim_batch(&mut st, first, &shared.config);
+                    if let Some(q) = st.queue.pop_front() {
+                        break q;
                     }
                     if st.closed {
                         return;
@@ -424,21 +406,11 @@ fn worker_loop(shared: &Shared) {
                 st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        if batch.len() > 1 {
-            shared.stats.record_batch(batch.len());
-            let _span = ca_obs::span(&format!("service.batch x{}", batch.len()));
-            for q in batch {
-                run_one(shared, q);
-            }
-        } else {
-            for q in batch {
-                run_one(shared, q);
-            }
-        }
+        run_one(shared, q);
     }
 }
 
-/// Execute (or deadline-cancel) one claimed job and fulfill its ticket.
+/// Execute (or deadline-cancel) one dequeued job and fulfill its ticket.
 fn run_one(shared: &Shared, q: QueuedJob) {
     let waited = q.submitted.elapsed();
     shared.stats.record_wait(waited);
@@ -542,7 +514,6 @@ mod tests {
             workers: 1,
             queue_capacity: 2,
             paused: true,
-            ..ServiceConfig::default()
         });
         let t1 = service.submit(job(8, 2).0).unwrap();
         let t2 = service.submit(job(8, 3).0).unwrap();
@@ -562,7 +533,6 @@ mod tests {
             workers: 1,
             queue_capacity: 8,
             paused: true,
-            ..ServiceConfig::default()
         });
         let t = service
             .submit(job(16, 5).0.timeout(Duration::ZERO))
@@ -578,51 +548,35 @@ mod tests {
         assert_eq!((stats.deadline_missed, stats.completed), (1, 0));
     }
 
-    #[test]
-    fn coalescing_batches_small_jobs() {
-        // Paused service with one worker: queue 6 sub-floor jobs, then
-        // resume — the worker must claim them as one coalesced batch.
-        let service = EigenService::new(ServiceConfig {
-            workers: 1,
-            queue_capacity: 16,
-            batch_floor: 64,
-            batch_max: 16,
-            paused: true,
-        });
-        let tickets: Vec<_> = (0..6)
-            .map(|i| service.submit(job(10 + i, 20 + i as u64).0).unwrap())
-            .collect();
-        service.resume();
-        for t in tickets {
-            assert!(t.wait().is_ok());
-        }
-        let stats = service.stats();
-        assert_eq!(stats.batches, 1, "6 queued sub-floor jobs → one batch");
-        assert_eq!(stats.batched_jobs, 6);
+    /// The `n` of every job [`recording_solve`] started, in start order.
+    static STARTED: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+    fn recording_solve(job: &SymmEigenJob, knobs: KnobSnapshot) -> Result<JobResult, EigenError> {
+        STARTED.lock().unwrap().push(job.n());
+        solve_job(job, knobs)
     }
 
     #[test]
-    fn oversize_jobs_bypass_coalescing() {
-        let service = EigenService::new(ServiceConfig {
+    fn jobs_start_in_admission_order() {
+        // One paused worker: every job is queued before dispatch starts,
+        // so the start order is exactly the dispatch order.
+        let config = ServiceConfig {
             workers: 1,
             queue_capacity: 16,
-            batch_floor: 16,
-            batch_max: 16,
             paused: true,
-        });
-        let tickets: Vec<_> = [24usize, 8, 32, 9]
-            .into_iter()
+        };
+        let service = EigenService::start(config, KnobSnapshot::capture(), recording_solve);
+        let sizes = [8usize, 96, 12, 80, 16];
+        let tickets: Vec<_> = sizes
+            .iter()
             .enumerate()
-            .map(|(i, n)| service.submit(job(n, 40 + i as u64).0).unwrap())
+            .map(|(i, &n)| service.submit(job(n, 20 + i as u64).0).unwrap())
             .collect();
         service.resume();
         for t in tickets {
             assert!(t.wait().is_ok());
         }
-        let stats = service.stats();
-        // The two sub-floor jobs (8, 9) coalesce when the worker reaches
-        // the first of them; the n=24/32 jobs run singly.
-        assert_eq!(stats.batched_jobs, 2);
+        assert_eq!(*STARTED.lock().unwrap(), sizes, "jobs must start in admission order");
     }
 
     #[test]
@@ -673,7 +627,6 @@ mod tests {
         let config = ServiceConfig {
             workers: 2,
             queue_capacity: 16,
-            batch_floor: 0,
             ..ServiceConfig::default()
         };
         let service = EigenService::start(config, KnobSnapshot::capture(), panicking_solve);

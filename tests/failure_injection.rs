@@ -12,7 +12,7 @@ use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::{BandedSym, Matrix};
 use ca_symm_eig::eigen::{
     try_band_to_band, try_full_to_band, try_singular_values, try_svd, try_symm_eigen_25d,
-    EigenError, EigenParams,
+    try_symm_eigen_25d_vectors, EigenError, EigenParams,
 };
 use ca_symm_eig::pla::dist::DistMatrix;
 use ca_symm_eig::pla::grid::Grid;
@@ -182,7 +182,7 @@ fn solver_rejects_non_finite_input_up_front() {
     // Same gate on the eigenvector path, and for infinities.
     a.set(3, 7, f64::NEG_INFINITY);
     assert!(matches!(
-        ca_symm_eig::eigen::try_symm_eigen_25d_vectors(&m, &params, &a),
+        try_symm_eigen_25d_vectors(&m, &params, &a),
         Err(EigenError::NonFiniteInput { row: 3, col: 7 })
     ));
     // An all-NaN matrix is caught at (0, 0) rather than reaching the
@@ -194,6 +194,44 @@ fn solver_rejects_non_finite_input_up_front() {
     ));
     assert_eq!(m.report().horizontal_words, 0, "rejected request charged the ledger");
     assert_eq!(m.report().supersteps, 0);
+}
+
+#[test]
+fn badly_scaled_inputs_are_solved_not_mangled() {
+    // The same well-conditioned spectrum scaled far outside the range
+    // where the reduction's Householder norms neither underflow nor
+    // overflow: 1e-310 is subnormal, 1e300 squares to infinity. Each
+    // must come back Ok with the unscaled spectrum times s and the
+    // same orthonormal eigenvectors.
+    use ca_symm_eig::dla::gen;
+    use conformance::oracle::{orthogonality_defect, residual_defect};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let (n, p) = (64, 4);
+    let params = EigenParams::new(p, 1);
+    let mut rng = StdRng::seed_from_u64(64);
+    let a = gen::symmetric_with_spectrum(&mut rng, &gen::linspace_spectrum(n, -1.0, 1.0));
+    let (reference, _) = try_symm_eigen_25d(&machine(p), &params, &a).expect("unscaled");
+    let error = |ev: &[f64], s: f64| {
+        ev.iter()
+            .zip(&reference)
+            .map(|(l, r)| (l / s - r).abs())
+            .fold(0.0, f64::max)
+    };
+    for s in [1e-310, 1e-300, 1e-160, 1e160, 1e200, 1e300] {
+        let mut scaled = a.clone();
+        scaled.scale(s);
+        let ev = try_symm_eigen_25d(&machine(p), &params, &scaled)
+            .unwrap_or_else(|e| panic!("values, s = {s:e}: {e}"))
+            .0;
+        assert!(error(&ev, s) <= 1e-12, "values, s = {s:e}: error {}", error(&ev, s));
+        let (ev, v, _) = try_symm_eigen_25d_vectors(&machine(p), &params, &scaled)
+            .unwrap_or_else(|e| panic!("vectors, s = {s:e}: {e}"));
+        assert!(error(&ev, s) <= 1e-12, "vectors, s = {s:e}: error {}", error(&ev, s));
+        let unscaled: Vec<f64> = ev.iter().map(|l| l / s).collect();
+        assert!(orthogonality_defect(&v) <= 1e-12, "s = {s:e}: V is not orthonormal");
+        assert!(residual_defect(&a, &unscaled, &v) <= 1e-12, "s = {s:e}: AV ≠ VΛ");
+    }
 }
 
 #[test]

@@ -227,9 +227,6 @@ proptest! {
 
         let service = EigenService::new(ServiceConfig {
             workers: 3,
-            // A mid-range floor so some jobs coalesce into batched leaf
-            // solves while others run singly — both scheduler paths.
-            batch_floor: 24,
             ..ServiceConfig::default()
         });
 

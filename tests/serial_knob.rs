@@ -17,11 +17,10 @@
 //! * malformed values (`CA_SERIAL=banana`, `CA_DNC_LEAF=fast`,
 //!   `CA_TRACE=fast`) warn once on stderr naming the knob, instead of
 //!   being silently ignored;
-//! * the service pins a knob snapshot at construction: a global
-//!   `set_dnc_leaf`/`set_halve_floor` change while jobs sit queued
-//!   changes neither the schedule they run under nor a single output
-//!   bit (the per-solve knob-read footgun, regression-tested in its own
-//!   subprocess).
+//! * a service runs every job under the knob snapshot it was built
+//!   with: a tenant with a custom schedule and a default tenant share
+//!   one process, and each job's schedule and output bits match a solo
+//!   solve under its own tenant's snapshot.
 
 use ca_symm_eig::bsp::{Machine, MachineParams};
 use ca_symm_eig::dla::gen;
@@ -119,26 +118,24 @@ fn probe(env: &[(&str, &str)]) -> Probe {
     }
 }
 
-/// Subprocess payload for [`service_snapshot_survives_global_knob_flip`]:
-/// in a clean process, a service's construction-time [`KnobSnapshot`]
-/// must govern every queued job even after the process-global knob is
-/// changed out from under it. Without the snapshot each solve would
-/// re-read the schedule knobs at dispatch time, so a change mid-queue
-/// could split one batch across two configurations.
-///
-/// [`KnobSnapshot`]: ca_symm_eig::dla::tune::KnobSnapshot
-#[test]
-#[ignore = "subprocess payload for the knob-snapshot driver test"]
-fn inner_service_snapshot_pins_knobs() {
-    use ca_service::{EigenService, ServiceConfig, SymmEigenJob};
-    use ca_symm_eig::dla::tune;
+/// Exact bits of a served or solo job result.
+fn result_hash(r: &ca_service::JobResult) -> u64 {
+    let mut bits = r.eigenvalues.clone();
+    if let Some(v) = &r.vectors {
+        bits.extend_from_slice(v.data());
+    }
+    bit_hash(&bits)
+}
 
-    let service = EigenService::new(ServiceConfig {
-        workers: 2,
-        paused: true, // hold the queue so the flip lands before dispatch
-        ..ServiceConfig::default()
-    });
-    let knobs = service.knobs();
+#[test]
+fn service_snapshot_survives_global_knob_flip() {
+    use ca_service::{solve_job, EigenService, KnobSnapshot, ServiceConfig, SymmEigenJob};
+
+    // A deeper D&C recursion and forced band halvings: a schedule that
+    // differs from the process defaults on both knobs.
+    let default = KnobSnapshot::capture();
+    let custom = KnobSnapshot { dnc_leaf: 8, halve_floor: 2, ..default };
+    assert_ne!(custom, default);
 
     let jobs: Vec<SymmEigenJob> = (0..6)
         .map(|i| {
@@ -152,77 +149,33 @@ fn inner_service_snapshot_pins_knobs() {
         })
         .collect();
 
-    let result_hash = |r: &ca_service::JobResult| {
-        let mut bits = r.eigenvalues.clone();
-        if let Some(v) = &r.vectors {
-            bits.extend_from_slice(v.data());
-        }
-        bit_hash(&bits)
-    };
-
-    // Solo references under the pinned snapshot, before any flip.
-    let solo: Vec<u64> = jobs
+    // Two tenants in one process, both queued before either dispatches.
+    let paused = ServiceConfig { workers: 2, paused: true, ..ServiceConfig::default() };
+    let tenants = [
+        (custom, EigenService::with_knobs(paused.clone(), custom)),
+        (default, EigenService::new(paused)),
+    ];
+    let tickets: Vec<Vec<_>> = tenants
         .iter()
-        .map(|j| result_hash(&ca_service::solve_job(j, knobs).expect("solo reference")))
+        .map(|(_, svc)| jobs.iter().map(|j| svc.submit(j.clone()).expect("admit")).collect())
         .collect();
-
-    let tickets: Vec<_> = jobs
-        .iter()
-        .map(|j| service.submit(j.clone()).expect("admit"))
-        .collect();
-
-    // The footgun this pins: a global schedule change while jobs sit
-    // queued (a deeper D&C recursion and forced band halvings).
-    tune::set_dnc_leaf(8);
-    tune::set_halve_floor(2);
-    assert_ne!(
-        tune::KnobSnapshot::capture(),
-        knobs,
-        "the global change must be visible outside the service"
-    );
-    service.resume();
-
-    for (t, want) in tickets.into_iter().zip(&solo) {
-        let r = t.wait().expect("queued job");
-        assert_eq!(
-            r.knobs, knobs,
-            "job ran under the changed global, not the service snapshot"
-        );
-        assert_eq!(
-            result_hash(&r),
-            *want,
-            "global knob flip changed a queued job's output bits"
-        );
+    for (_, svc) in &tenants {
+        svc.resume();
     }
-    println!("KNOB_PIN_OK=1");
-}
 
-#[test]
-fn service_snapshot_survives_global_knob_flip() {
-    // The payload mutates process-global knob state, so it runs in its
-    // own subprocess like the CA_SERIAL probes above.
-    let exe = std::env::current_exe().expect("test binary path");
-    let out = Command::new(exe)
-        .args([
-            "--ignored",
-            "--exact",
-            "inner_service_snapshot_pins_knobs",
-            "--nocapture",
-        ])
-        .env_remove("CA_DNC_LEAF")
-        .env_remove("CA_HALVE_FLOOR")
-        .output()
-        .expect("spawn test subprocess");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "knob-snapshot payload failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        stdout.contains("KNOB_PIN_OK=1"),
-        "payload did not reach its end marker:\n{stdout}"
-    );
+    for ((knobs, svc), tickets) in tenants.iter().zip(tickets) {
+        assert_eq!(svc.knobs(), *knobs);
+        for (t, job) in tickets.into_iter().zip(&jobs) {
+            let r = t.wait().expect("queued job");
+            assert_eq!(r.knobs, *knobs, "job ran under another tenant's snapshot");
+            let solo = solve_job(job, *knobs).expect("solo reference");
+            assert_eq!(
+                result_hash(&r),
+                result_hash(&solo),
+                "served job differs from a solo solve under the same snapshot"
+            );
+        }
+    }
 }
 
 #[test]

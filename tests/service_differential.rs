@@ -2,8 +2,8 @@
 //! **bit-identical** to the same problem solved solo.
 //!
 //! The service's determinism claim (DESIGN.md §6f) is that scheduling —
-//! concurrency, queue interleaving, coalesced batching, pause/resume
-//! churn — never changes a single output bit. This suite enforces it
+//! concurrency, queue interleaving, worker count, pause/resume churn —
+//! never changes a single output bit. This suite enforces it
 //! over the full size/output matrix: `n ∈ {2, 48, 65, 129, 257}`,
 //! values-only and with vectors. The solo reference is [`ca_service::solve_job`] called
 //! directly on this thread with the same knob snapshot the service
@@ -62,9 +62,6 @@ fn concurrent_batch_is_bit_identical_to_solo() {
     let service = EigenService::new(ServiceConfig {
         workers: 4,
         queue_capacity: 64,
-        // Floor of 64 exercises both paths: n = 2 and n = 48 coalesce,
-        // n ∈ {65, 129, 257} run singly.
-        batch_floor: 64,
         ..ServiceConfig::default()
     });
     let knobs = service.knobs();
@@ -93,9 +90,10 @@ fn concurrent_batch_is_bit_identical_to_solo() {
 
 #[test]
 fn interleaving_and_batching_shape_do_not_change_bits() {
-    // The same matrix served three more ways: single worker (pure FIFO),
-    // many workers with reversed submission order, and coalescing
-    // disabled. All byte streams must agree with the first serving.
+    // The same matrix served three more ways: a single worker (jobs run
+    // one at a time in admission order), six workers with reversed
+    // submission order, and four workers. All byte streams must agree
+    // with the first serving.
     // The full matrix already ran in `concurrent_batch_is_bit_identical_
     // to_solo`; here the most expensive cells (vectors at n = 257) are
     // dropped to keep three extra servings inside the CI budget —
@@ -113,12 +111,11 @@ fn interleaving_and_batching_shape_do_not_change_bits() {
         .map(|r| bits(&r.expect("reference serving")))
         .collect();
 
-    for (workers, reversed, batch_floor) in [(1usize, false, 64usize), (6, true, 64), (4, false, 0)] {
+    for (workers, reversed) in [(1usize, false), (6, true), (4, false)] {
         let service = EigenService::with_knobs(
             ServiceConfig {
                 workers,
                 queue_capacity: 64,
-                batch_floor,
                 ..ServiceConfig::default()
             },
             knobs,
@@ -137,7 +134,7 @@ fn interleaving_and_batching_shape_do_not_change_bits() {
             assert_eq!(
                 reference[i],
                 bits(&got),
-                "{} (workers={workers} reversed={reversed} floor={batch_floor}): bits changed",
+                "{} (workers={workers} reversed={reversed}): bits changed",
                 jobs[i].0
             );
         }

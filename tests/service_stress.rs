@@ -12,8 +12,8 @@
 //!   every result stays bit-identical to its solo reference.
 //!
 //! Runtime is bounded (sizes ≤ 64, values-only in the hot loop) so the
-//! suite stays CI-fast; the soak binary (`ca-bench --bin soak`) covers
-//! sustained load.
+//! suite stays CI-fast; the benchmark's `service-burst` workload
+//! covers sustained load.
 
 use ca_service::{EigenService, KnobSnapshot, ServiceConfig, SymmEigenJob};
 use ca_symm_eig::dla::gen;
@@ -85,7 +85,6 @@ fn eight_clients_mixed_sizes_no_lost_jobs_bit_identical() {
             ServiceConfig {
                 workers: 4,
                 queue_capacity: 256,
-                batch_floor: 32,
                 ..ServiceConfig::default()
             },
             knobs,
@@ -149,7 +148,6 @@ fn queue_full_under_flood_is_typed_and_nothing_is_lost() {
         workers: 2,
         queue_capacity: 4,
         paused: true,
-        ..ServiceConfig::default()
     }));
     let pool = job_pool();
 
@@ -197,7 +195,6 @@ fn expired_deadlines_are_typed_and_late_jobs_still_run() {
         workers: 2,
         queue_capacity: 64,
         paused: true,
-        ..ServiceConfig::default()
     });
     let pool = job_pool();
 
