@@ -297,16 +297,22 @@ fn pack_a(buf: &mut [f64], av: &Operand, i0: usize, pc: usize, mb: usize, kb: us
 /// accumulator tile in registers with no bounds checks.
 #[inline(always)]
 fn micro_kernel(kb: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
+    // Accumulate in a local copy: a local tile always lives in
+    // registers, whereas keeping `*acc` there depends on how the
+    // optimizer happens to shape this loop's exits (it has stored the
+    // whole tile back on every step in some builds).
+    let mut tile = *acc;
     for (avec, bvec) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kb) {
         let avec: &[f64; MR] = avec.try_into().unwrap();
         let bvec: &[f64; NR] = bvec.try_into().unwrap();
         for r in 0..MR {
             let ar = avec[r];
             for cc in 0..NR {
-                acc[r][cc] += ar * bvec[cc];
+                tile[r][cc] += ar * bvec[cc];
             }
         }
     }
+    *acc = tile;
 }
 
 /// [`micro_kernel`] compiled with 256-bit vectors (AVX2). The
@@ -318,16 +324,19 @@ fn micro_kernel(kb: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn micro_kernel_avx2(kb: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
+    // Local tile, as in `micro_kernel`.
+    let mut tile = *acc;
     for (avec, bvec) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kb) {
         let avec: &[f64; MR] = avec.try_into().unwrap();
         let bvec: &[f64; NR] = bvec.try_into().unwrap();
         for r in 0..MR {
             let ar = avec[r];
             for cc in 0..NR {
-                acc[r][cc] += ar * bvec[cc];
+                tile[r][cc] += ar * bvec[cc];
             }
         }
     }
+    *acc = tile;
 }
 
 /// True when the host supports the wide micro-kernel; hosts without
