@@ -199,11 +199,11 @@ pub fn try_symm_eigen_25d_vectors(
 /// scaling); the eigenvectors of `σA` are those of `A`. As in `dsyev`,
 /// `rmin = √(MIN_POSITIVE/EPSILON) = 2⁻⁴⁸⁵ ≈ 1.0e-146` and
 /// `rmax = 1/rmin`: outside that range the squared entries summed in
-/// Householder norms underflow or overflow. `σ` moves the
-/// norm to the bound it crossed, not to 1: for a subnormal input a `σ`
-/// aimed at 1 would not be representable. In-range inputs take the
-/// unscaled path bit for bit. The scaling is a local `O(n²)` pass
-/// outside the paper's cost model and is not charged (DESIGN.md §9).
+/// Householder norms underflow or overflow. `σ` moves the norm to the
+/// bound it crossed, not to 1: for a subnormal input a `σ` aimed at 1
+/// would not be representable. In-range inputs take the unscaled path
+/// bit for bit. The scaling is a local `O(n²)` pass outside the paper's
+/// cost model and is not charged (DESIGN.md §9).
 fn solve_in_range(
     machine: &Machine,
     params: &EigenParams,
